@@ -94,6 +94,7 @@ void InvariantAudit::record_tag_hazard(TagHazard kind,
                                        const std::string& detail) {
   const std::string site = qualified_site(AuditSiteScope::current());
   const char* label = "tag hazard";
+  std::string message;
   {
     std::lock_guard<std::mutex> lock(mu_);
     SiteAccum& a = sites_[site];
@@ -111,11 +112,11 @@ void InvariantAudit::record_tag_hazard(TagHazard kind,
         label = "pending-at-exit";
         break;
     }
+    message = "DMA tag hazard (" + std::string(label) + ") at site '" + site +
+              "': " + detail;
+    last_tag_hazard_ = message;
   }
-  if (cfg_.strict) {
-    throw AuditError("DMA tag hazard (" + std::string(label) + ") at site '" +
-                     site + "': " + detail);
-  }
+  if (cfg_.strict) throw AuditError(message);
 }
 
 AuditReport InvariantAudit::report() const {
@@ -123,6 +124,7 @@ AuditReport InvariantAudit::report() const {
   r.enabled = cfg_.enabled;
   r.ls_budget = cfg_.ls_budget;
   std::lock_guard<std::mutex> lock(mu_);
+  r.last_tag_hazard = last_tag_hazard_;
   for (const auto& [site, a] : sites_) {
     AuditSiteReport s;
     s.site = site;

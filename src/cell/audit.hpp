@@ -63,6 +63,9 @@ struct AuditReport {
   std::uint64_t tag_reuse_in_flight = 0;
   std::uint64_t tag_pending_at_exit = 0;
   std::vector<AuditSiteReport> sites;  ///< Sorted by site name.
+  /// Message of the most recent tag hazard (the strict-mode AuditError
+  /// text); empty when none was recorded.
+  std::string last_tag_hazard;
 
   std::uint64_t tag_hazards() const {
     return tag_touch_before_wait + tag_reuse_in_flight + tag_pending_at_exit;
@@ -172,6 +175,7 @@ class InvariantAudit {
   AuditConfig cfg_;
   mutable std::mutex mu_;
   std::map<std::string, SiteAccum> sites_;
+  std::string last_tag_hazard_;
 };
 
 }  // namespace cj2k::cell

@@ -77,19 +77,28 @@ void DmaEngine::issue_async(void* ls, std::size_t bytes, unsigned tag,
   // Hazard: the new transfer's Local Store range overlaps one still in
   // flight.  A fenced issue on the *same* tag is the legal re-targeting
   // idiom (ordered after the in-flight transfer); everything else is the
-  // classic double-buffering bug.
-  const auto lo = reinterpret_cast<std::uintptr_t>(ls);
-  const std::uintptr_t hi = lo + bytes;
-  for (const Pending& p : pending_) {
-    if (lo < p.hi && p.lo < hi && !(fenced && p.tag == tag)) {
+  // classic double-buffering bug.  Entries are distinct keys in first-issue
+  // order, and every transfer coalesced into a key shares its overlap and
+  // fence outcome, so the first hit here is the key of the first hit a
+  // per-transfer list would have found.
+  const InFlight key{reinterpret_cast<std::uintptr_t>(ls),
+                     reinterpret_cast<std::uintptr_t>(ls) + bytes, tag,
+                     is_get};
+  bool reported = false;
+  bool tracked = false;
+  for (const InFlight& p : in_flight_) {
+    if (!reported && key.lo < p.hi && p.lo < key.hi &&
+        !(fenced && p.tag == tag)) {
       report_hazard(TagHazard::kReuseInFlight,
                     "tag " + std::to_string(tag) +
                         " re-targets a Local Store range in flight on tag " +
                         std::to_string(p.tag) + " without a same-tag fence");
-      break;
+      reported = true;
     }
+    tracked = tracked || (p.lo == key.lo && p.hi == key.hi &&
+                          p.tag == tag && p.is_get == is_get);
   }
-  pending_.push_back({lo, hi, tag, is_get});
+  if (!tracked) in_flight_.push_back(key);
   pending_mask_ |= 1u << tag;
   issued_mask_ |= 1u << tag;
   ++c_->dma_tagged_transfers;
@@ -148,11 +157,11 @@ void DmaEngine::wait_all() { retire_tags(~0u, "wait_all"); }
 
 void DmaEngine::retire_tags(std::uint32_t mask, const char* wait_kind) {
   const std::uint32_t retired = pending_mask_ & mask;
-  pending_.erase(std::remove_if(pending_.begin(), pending_.end(),
-                                [mask](const Pending& p) {
-                                  return (mask & (1u << p.tag)) != 0;
-                                }),
-                 pending_.end());
+  in_flight_.erase(std::remove_if(in_flight_.begin(), in_flight_.end(),
+                                  [mask](const InFlight& p) {
+                                    return (mask & (1u << p.tag)) != 0;
+                                  }),
+                   in_flight_.end());
   pending_mask_ &= ~mask;
   if (trace_ != nullptr && retired != 0) trace_->on_wait(retired, wait_kind);
 }
@@ -160,7 +169,7 @@ void DmaEngine::retire_tags(std::uint32_t mask, const char* wait_kind) {
 void DmaEngine::touch(const void* ls_ptr, std::size_t bytes) {
   const auto lo = reinterpret_cast<std::uintptr_t>(ls_ptr);
   const std::uintptr_t hi = lo + bytes;
-  for (const Pending& p : pending_) {
+  for (const InFlight& p : in_flight_) {
     if (lo < p.hi && p.lo < hi) {
       report_hazard(TagHazard::kTouchBeforeWait,
                     "buffer touched while its " +
@@ -187,7 +196,7 @@ void DmaEngine::finish_kernel() {
 
 void DmaEngine::reset_tags() {
   if (trace_ != nullptr) trace_->on_reset();
-  pending_.clear();
+  in_flight_.clear();
   pending_mask_ = 0;
   issued_mask_ = 0;
 }

@@ -21,6 +21,17 @@
 // a buffer touched while its transfer is in flight, a buffer re-targeted
 // while in flight, and a kernel exiting with pending tags.  Hard MFC misuse
 // (tag out of range, waiting on nothing) throws CellHardwareError.
+//
+// In-flight tracking is coalesced: one entry per distinct (Local Store
+// range, tag, direction), in first-issue order, however often a kernel
+// re-issues it.  A double-buffered stream that never drains mid-kernel thus
+// keeps a handful of entries instead of one per row, and each issue or
+// touch scans only those.  Verdicts are those of a per-transfer list:
+// transfers sharing a key agree on every overlap and fence test, so the
+// first matching entry is the key of the first matching transfer and the
+// hazard names the same tag, direction and detail.  Ranges stay byte-exact
+// (a cache-line map would be wrong: 16 B-granular ranges and 1-8 B small
+// transfers can share a line without overlapping).
 #pragma once
 
 #include <cstddef>
@@ -115,6 +126,9 @@ class DmaEngine {
   /// Bitmask of tags issued on since the last reset (sticky across waits).
   std::uint32_t issued_mask() const { return issued_mask_; }
 
+  /// Distinct in-flight (range, tag, direction) keys being tracked.
+  std::size_t in_flight_entries() const { return in_flight_.size(); }
+
   OpCounters& counters() { return *c_; }
 
   /// Attaches the invariant audit every accepted transfer reports into
@@ -128,8 +142,8 @@ class DmaEngine {
   void attach_trace(DmaTraceLog* log) { trace_ = log; }
 
  private:
-  /// One in-flight transfer's Local Store range.
-  struct Pending {
+  /// One in-flight key: a Local Store range on a tag in one direction.
+  struct InFlight {
     std::uintptr_t lo;
     std::uintptr_t hi;  ///< One past the end.
     unsigned tag;
@@ -149,7 +163,7 @@ class DmaEngine {
   OpCounters* c_;
   InvariantAudit* audit_ = nullptr;
   DmaTraceLog* trace_ = nullptr;
-  std::vector<Pending> pending_;
+  std::vector<InFlight> in_flight_;  ///< Distinct keys, first-issue order.
   std::uint32_t pending_mask_ = 0;
   std::uint32_t issued_mask_ = 0;
 };

@@ -2,8 +2,9 @@
 // SIMD + counters), PPE thread counters, and the timing composition that
 // turns per-worker op counts into a simulated stage time.
 //
-// Execution model: stage kernels are real C++ run on host threads (so the
-// work queue and chunk decomposition are genuinely concurrent); *simulated*
+// Execution model: stage kernels are real C++ run as tasks on the host
+// executor (so the work queue and chunk decomposition are genuinely
+// concurrent); *simulated*
 // time is computed from the counters, so it is deterministic and
 // independent of the host machine.
 #pragma once
@@ -112,8 +113,8 @@ class Machine {
   int num_ppe_threads() const { return cfg_.num_ppe_threads; }
   SpeContext& spe(int i) { return *spes_.at(static_cast<std::size_t>(i)); }
 
-  /// Runs `spe_work(i, ctx)` for every SPE on host threads, plus an
-  /// optional PPE-side worker, then composes the stage timing from the
+  /// Runs `spe_work(i, ctx)` for every SPE as a host executor task, plus an
+  /// optional PPE-side worker on the calling thread, then composes the stage timing from the
   /// counters (which are reset on entry, along with each DmaEngine's tag
   /// state; pending tags at kernel return are a pending-at-exit hazard).
   /// With `overlap_dma` (the default) the *tagged* share of each SPE's DMA

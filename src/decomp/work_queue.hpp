@@ -71,6 +71,15 @@ class CompletionChannel {
     return true;
   }
 
+  /// Non-blocking pop: false when no finished item is waiting.
+  bool try_pop(std::size_t& index) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (head_ == fifo_.size()) return false;
+    index = fifo_[head_++];
+    ++popped_;
+    return true;
+  }
+
   std::size_t expected() const { return expected_; }
 
  private:

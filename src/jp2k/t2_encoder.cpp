@@ -3,9 +3,9 @@
 #include <bit>
 #include <map>
 #include <memory>
-#include <thread>
 
 #include "common/error.hpp"
+#include "common/executor.hpp"
 #include "decomp/work_queue.hpp"
 #include "jp2k/tagtree.hpp"
 
@@ -212,22 +212,13 @@ std::vector<T2PrecinctStream> t2_encode_precincts(const Tile& tile,
     }
   }
 
-  const unsigned host_threads =
-      parallel ? std::max(1u, std::thread::hardware_concurrency()) : 1u;
-  if (host_threads <= 1 || parts.size() <= 1) {
+  if (!parallel) {
     for (auto& ps : parts) encode_precinct_stream(tile, ps);
     return parts;
   }
-
-  decomp::WorkQueue queue(parts.size());
-  auto worker = [&] {
-    std::size_t idx;
-    while (queue.pop(idx)) encode_precinct_stream(tile, parts[idx]);
-  };
-  std::vector<std::thread> pool;
-  for (unsigned t = 1; t < host_threads; ++t) pool.emplace_back(worker);
-  worker();
-  for (auto& t : pool) t.join();
+  Executor::host().run(parts.size(), [&](std::size_t i) {
+    encode_precinct_stream(tile, parts[i]);
+  });
   return parts;
 }
 
@@ -316,30 +307,26 @@ std::vector<std::uint8_t> t2_encode_streamed(
     }
   }
 
-  // Worker pool codes precinct streams and announces each through the
-  // completion channel; the calling thread is the serial consumer, stitching
-  // whatever the progression cursor can reach after each completion.
-  decomp::WorkQueue queue(parts.size());
+  // Executor tasks code the precinct streams and announce each through the
+  // completion channel; the calling thread is the serial consumer,
+  // stitching whatever the progression cursor can reach after each
+  // completion.  With nothing to stitch it codes an unclaimed precinct
+  // itself (caller helps), so the stitch progresses however busy the
+  // executor is; once every precinct is claimed it waits for the rest.
   decomp::CompletionChannel done(parts.size());
-  auto worker = [&] {
-    std::size_t idx;
-    while (queue.pop(idx)) {
-      encode_precinct_stream(tile, parts[idx]);
-      done.push(idx);
-    }
-  };
-  const unsigned host_threads =
-      std::max(1u, std::thread::hardware_concurrency());
-  const std::size_t nworkers =
-      std::min<std::size_t>(host_threads, parts.size());
-  std::vector<std::thread> pool;
-  pool.reserve(nworkers);
-  for (std::size_t t = 0; t < nworkers; ++t) pool.emplace_back(worker);
-
+  Executor::Batch batch(Executor::host(), parts.size(), [&](std::size_t i) {
+    encode_precinct_stream(tile, parts[i]);
+    done.push(i);
+  });
   T2StitchStream stream(tile);
   std::size_t idx;
-  while (done.pop(idx)) stream.offer(idx, parts[idx]);
-  for (auto& t : pool) t.join();
+  while (!stream.complete()) {
+    if (done.try_pop(idx)) {
+      stream.offer(idx, parts[idx]);
+    } else if (!batch.run_one()) {
+      batch.wait();
+    }
+  }
 
   auto out = stream.take();
   if (parts_out) *parts_out = std::move(parts);

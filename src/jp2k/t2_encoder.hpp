@@ -31,8 +31,8 @@ struct T2PrecinctStream {
 };
 
 /// Codes every precinct stream of the tile (components × resolutions).
-/// With `parallel`, the independent streams are coded by a host thread
-/// pool drained through a work queue; the output is identical either way.
+/// With `parallel`, the independent streams are coded as host executor
+/// tasks; the output is identical either way.
 std::vector<T2PrecinctStream> t2_encode_precincts(const Tile& tile,
                                                   bool parallel = false);
 
@@ -88,10 +88,11 @@ class T2StitchStream {
 std::vector<std::uint8_t> t2_stitch(const Tile& tile,
                                     const std::vector<T2PrecinctStream>& parts);
 
-/// Codes the precinct streams on a worker pool while the *calling thread*
-/// stitches finished parts through a T2StitchStream as they complete — the
-/// overlapped tail's Tier-2 shape, with real threads handing off through a
-/// CompletionChannel (so the sanitizer presets exercise the hand-off).
+/// Codes the precinct streams as host executor tasks while the *calling
+/// thread* stitches finished parts through a T2StitchStream as they
+/// complete — the overlapped tail's Tier-2 shape, with real threads handing
+/// off through a CompletionChannel (so the sanitizer presets exercise the
+/// hand-off).  With nothing to stitch, the caller codes a precinct itself.
 /// Byte-identical to t2_encode().  When `parts_out` is non-null the coded
 /// precinct streams are moved there (canonical order).
 std::vector<std::uint8_t> t2_encode_streamed(

@@ -42,7 +42,8 @@ struct ServiceOptions {
   StealMode steal = StealMode::kAuto;
   /// Lease-group width in SPEs (the >=8 unit of decomp::plan_tile_groups).
   int group_spes = 8;
-  /// Host encode workers; 0 means one per pool group.
+  /// Jobs encoded concurrently (each an executor task holding one lease);
+  /// 0 means one per pool group.
   std::size_t host_threads = 0;
   /// Record the service-level schedule trace (jobs interleaving on the
   /// pool's SPE/PPE tracks) into ServiceResult::trace.

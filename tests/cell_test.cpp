@@ -2,6 +2,10 @@
 // instrumentation, cost model relations, machine timing composition.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "cell/audit.hpp"
@@ -12,6 +16,7 @@
 #include "cell/simd.hpp"
 #include "common/aligned_buffer.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 
 namespace cj2k::cell {
 namespace {
@@ -363,6 +368,194 @@ TEST(DmaTags, FinishKernelWithNothingPendingIsClean) {
   dma.finish_kernel();
   EXPECT_EQ(audit.report().tag_hazards(), 0u);
   EXPECT_TRUE(audit.report().clean());
+}
+
+/// The per-transfer in-flight list DmaEngine kept before it coalesced
+/// repeat issues: one entry per issue, the first overlapping entry in issue
+/// order reported.  Hazards come out as the audit's message text.
+class ReferenceTagChecker {
+ public:
+  void issue(const void* ls, std::size_t bytes, unsigned tag, bool is_get,
+             bool fenced) {
+    const Entry e{reinterpret_cast<std::uintptr_t>(ls),
+                  reinterpret_cast<std::uintptr_t>(ls) + bytes, tag, is_get};
+    for (const Entry& p : pending_) {
+      if (e.lo < p.hi && p.lo < e.hi && !(fenced && p.tag == tag)) {
+        hazard("reuse-in-flight",
+               "tag " + std::to_string(tag) +
+                   " re-targets a Local Store range in flight on tag " +
+                   std::to_string(p.tag) + " without a same-tag fence");
+        break;
+      }
+    }
+    pending_.push_back(e);
+    pending_mask |= 1u << tag;
+    issued_mask |= 1u << tag;
+  }
+  void retire(std::uint32_t mask) {
+    std::erase_if(pending_, [mask](const Entry& p) {
+      return (mask & (1u << p.tag)) != 0;
+    });
+    pending_mask &= ~mask;
+  }
+  void touch(const void* ls, std::size_t bytes) {
+    const auto lo = reinterpret_cast<std::uintptr_t>(ls);
+    for (const Entry& p : pending_) {
+      if (lo < p.hi && p.lo < lo + bytes) {
+        hazard("touch-before-wait", "buffer touched while its " +
+                                        std::string(p.is_get ? "get" : "put") +
+                                        " is in flight on tag " +
+                                        std::to_string(p.tag));
+        return;
+      }
+    }
+  }
+  void finish() {
+    if (pending_mask != 0) {
+      char mask[16];
+      std::snprintf(mask, sizeof mask, "%x", pending_mask);
+      hazard("pending-at-exit",
+             "kernel exit with tags in flight (pending mask 0x" +
+                 std::string(mask) + ")");
+    }
+    pending_.clear();
+    pending_mask = issued_mask = 0;
+  }
+  std::size_t entries() const { return pending_.size(); }
+  /// Distinct (range, tag, direction) keys among the pending transfers.
+  std::size_t distinct_keys() const {
+    std::vector<std::tuple<std::uintptr_t, std::uintptr_t, unsigned, bool>>
+        keys;
+    for (const Entry& p : pending_) {
+      keys.emplace_back(p.lo, p.hi, p.tag, p.is_get);
+    }
+    std::sort(keys.begin(), keys.end());
+    return static_cast<std::size_t>(
+        std::unique(keys.begin(), keys.end()) - keys.begin());
+  }
+
+  std::vector<std::string> hazards;
+  std::uint32_t pending_mask = 0;
+  std::uint32_t issued_mask = 0;
+
+ private:
+  struct Entry {
+    std::uintptr_t lo, hi;
+    unsigned tag;
+    bool is_get;
+  };
+  void hazard(const char* label, const std::string& detail) {
+    hazards.push_back("DMA tag hazard (" + std::string(label) +
+                      ") at site '(untagged)': " + detail);
+  }
+  std::vector<Entry> pending_;
+};
+
+TEST(DmaTags, CoalescedTrackingMatchesPerTransferReference) {
+  // Seeded random tag traffic over a small Local Store window: get/put,
+  // fenced and not, 1/2/4/8/16n-byte sizes, ranges overlapping across four
+  // tags, interleaved with every wait flavour, touches and kernel exits.
+  // The engine must report the same hazards, in the same order and with
+  // the same text, and keep the same tag masks as the per-transfer list.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    OpCounters c;
+    DmaEngine dma(c);
+    InvariantAudit audit(AuditConfig{.enabled = true});
+    dma.attach_audit(&audit);
+    LocalStore ls;
+    auto* lsb = ls.alloc<std::uint8_t>(1024);
+    AlignedBuffer<std::uint8_t> main_buf(1024);
+    ReferenceTagChecker ref;
+    std::vector<std::string> seen;
+    std::uint64_t hazards = 0;
+    std::size_t coalesced = 0;
+    for (int op = 0; op < 4000; ++op) {
+      static constexpr std::size_t kSmall[] = {1, 2, 4, 8};
+      const bool small = rng.next_below(4) == 0;
+      const std::size_t bytes = small ? kSmall[rng.next_below(4)]
+                                      : 16 * (1 + rng.next_below(8));
+      // Coarse 16-byte slots so keys repeat; small transfers land at a
+      // naturally aligned offset inside their slot.
+      const std::size_t off = 16 * rng.next_below(24) +
+                              (small ? bytes * rng.next_below(16 / bytes) : 0);
+      const auto tag = static_cast<unsigned>(rng.next_below(4));
+      const std::uint64_t kind = rng.next_below(100);
+      if (kind < 55) {
+        const bool is_get = rng.next_below(2) == 0;
+        const bool fenced = rng.next_below(2) == 0;
+        std::uint8_t* l = lsb + off;
+        std::uint8_t* m = main_buf.data() + off;
+        if (is_get && fenced) dma.getf_async(l, m, bytes, tag);
+        if (is_get && !fenced) dma.get_async(l, m, bytes, tag);
+        if (!is_get && fenced) dma.putf_async(l, m, bytes, tag);
+        if (!is_get && !fenced) dma.put_async(l, m, bytes, tag);
+        ref.issue(lsb + off, bytes, tag, is_get, fenced);
+      } else if (kind < 75) {
+        dma.touch(lsb + off, bytes);
+        ref.touch(lsb + off, bytes);
+      } else if (kind < 97 && ref.issued_mask != 0) {
+        std::uint32_t mask = 0;
+        if (kind < 85) {
+          unsigned t = tag;
+          while ((ref.issued_mask >> t & 1u) == 0) t = (t + 1) % 4;
+          dma.wait_tag(t);
+          mask = 1u << t;
+        } else if (kind < 93) {
+          while ((mask & ref.issued_mask) == 0) {
+            mask = static_cast<std::uint32_t>(rng.next_below(16));
+          }
+          dma.wait_tag_mask(mask);
+        } else {
+          dma.wait_all();
+          mask = ~0u;
+        }
+        ref.retire(mask);
+      } else {
+        dma.finish_kernel();
+        ref.finish();
+      }
+      const AuditReport r = audit.report();
+      if (r.tag_hazards() != hazards) {
+        ASSERT_EQ(r.tag_hazards(), hazards + 1) << "one hazard per op";
+        hazards = r.tag_hazards();
+        seen.push_back(r.last_tag_hazard);
+      }
+      ASSERT_EQ(dma.pending_mask(), ref.pending_mask) << "op " << op;
+      ASSERT_EQ(dma.issued_mask(), ref.issued_mask) << "op " << op;
+      ASSERT_EQ(dma.in_flight_entries(), ref.distinct_keys()) << "op " << op;
+      coalesced = std::max(coalesced, ref.entries() - ref.distinct_keys());
+    }
+    EXPECT_EQ(seen, ref.hazards) << "seed " << seed;
+    EXPECT_GT(coalesced, 0u) << "the sweep must repeat keys";
+    EXPECT_GT(ref.hazards.size(), 50u) << "the sweep must exercise hazards";
+  }
+}
+
+TEST(DmaTags, FencedStreamTracksOneEntryPerKey) {
+  // The read kernel's shape: two Local Store buffers re-targeted by fenced
+  // get->put pairs on parity tags, drained only at the end.  Tracking stays
+  // at the four distinct keys however long the stream runs.
+  OpCounters c;
+  DmaEngine dma(c);
+  InvariantAudit audit(AuditConfig{.enabled = true});
+  dma.attach_audit(&audit);
+  LocalStore ls;
+  std::int32_t* buf[2] = {ls.alloc<std::int32_t>(32),
+                          ls.alloc<std::int32_t>(32)};
+  AlignedBuffer<std::int32_t> src(32);
+  AlignedBuffer<std::int32_t> dst(32);
+  for (unsigned k = 0; k < 100000; ++k) {
+    const unsigned t = k & 1;
+    dma.getf_async(buf[t], src.data(), 128, t);
+    dma.putf_async(buf[t], dst.data(), 128, t);
+  }
+  EXPECT_EQ(dma.in_flight_entries(), 4u);
+  EXPECT_EQ(dma.pending_mask(), 3u);
+  EXPECT_EQ(c.dma_tagged_transfers, 200000u);
+  dma.wait_all();
+  EXPECT_EQ(dma.in_flight_entries(), 0u);
+  EXPECT_EQ(audit.report().tag_hazards(), 0u);
 }
 
 TEST(Simd, CountsAndComputes) {

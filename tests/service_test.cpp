@@ -467,6 +467,39 @@ TEST(EncodeServiceTest, StrictAuditAttributesViolationsToJobs) {
   }
 }
 
+TEST(EncodeServiceTest, TiledJobAuditSitesNameJobAndTile) {
+  // Jobs run as executor tasks and their SPE kernels as nested tasks, on
+  // whatever threads claim them: the provenance must follow into each one
+  // as "jobN/tileM/<stage>".
+  ServiceOptions sopt;
+  sopt.machine = config(16, 2, 2);
+  EncodeService svc(sopt);
+  const auto img =
+      std::make_shared<const Image>(synth::photographic(96, 96, 3, 47));
+  for (std::size_t i = 0; i < 3; ++i) {
+    EncodeJob job;
+    job.image = img;
+    job.params.tiles_x = job.params.tiles_y = 2;
+    job.pipeline.audit.enabled = true;
+    svc.submit(std::move(job));
+  }
+  const ServiceResult res = svc.run();
+  for (const auto& jr : res.jobs) {
+    const std::string job = "job" + std::to_string(jr.id) + "/";
+    std::vector<bool> tile_seen(4, false);
+    ASSERT_FALSE(jr.pipeline.audit.sites.empty());
+    for (const auto& site : jr.pipeline.audit.sites) {
+      ASSERT_EQ(site.site.rfind(job + "tile", 0), 0u) << site.site;
+      const std::size_t t = std::stoul(site.site.substr(job.size() + 4));
+      ASSERT_LT(t, tile_seen.size()) << site.site;
+      tile_seen[t] = true;
+    }
+    for (std::size_t t = 0; t < tile_seen.size(); ++t) {
+      EXPECT_TRUE(tile_seen[t]) << job << "tile" << t << " missing";
+    }
+  }
+}
+
 TEST(EncodeServiceTest, StealModeAutoFollowsThePolicy) {
   ServiceOptions sopt;
   sopt.machine = config(16, 2, 2);
