@@ -6,9 +6,9 @@
 // benchmarks the host kernels.
 #include <benchmark/benchmark.h>
 
+#include "backend/kernel_backend.hpp"
 #include "bench_common.hpp"
 #include "cell/cost_model.hpp"
-#include "cellenc/kernels.hpp"
 #include "jp2k/dwt97.hpp"
 
 namespace {
@@ -37,15 +37,15 @@ void print_table1() {
   {
     cell::Simd simd(cf);
     AlignedBuffer<float> x(kN), a(kN), b(kN);
-    cellenc::simd_lift97_row(simd, x.data(), a.data(), b.data(),
-                             jp2k::dwt97::kAlpha, kN);
+    backend::cell_model().lift97_row(simd, x.data(), a.data(), b.data(),
+                                     jp2k::dwt97::kAlpha, kN);
   }
   cell::OpCounters ci;
   {
     cell::Simd simd(ci);
     AlignedBuffer<std::int32_t> x(kN), a(kN), b(kN);
-    cellenc::simd_lift97_fixed_row(simd, x.data(), a.data(), b.data(), 13000,
-                                   kN);
+    backend::cell_model().lift97_fixed_row(simd, x.data(), a.data(),
+                                           b.data(), 13000, kN);
   }
   const double cyc_f = model.spe_seconds(cf) * model.params().clock_hz /
                        static_cast<double>(kN);
@@ -73,8 +73,8 @@ void BM_Lift97Float(benchmark::State& state) {
   cell::Simd simd(c);
   AlignedBuffer<float> x(n), a(n), b(n);
   for (auto _ : state) {
-    cellenc::simd_lift97_row(simd, x.data(), a.data(), b.data(),
-                             jp2k::dwt97::kAlpha, n);
+    backend::cell_model().lift97_row(simd, x.data(), a.data(), b.data(),
+                                     jp2k::dwt97::kAlpha, n);
     benchmark::DoNotOptimize(x.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -88,8 +88,8 @@ void BM_Lift97Fixed(benchmark::State& state) {
   cell::Simd simd(c);
   AlignedBuffer<std::int32_t> x(n), a(n), b(n);
   for (auto _ : state) {
-    cellenc::simd_lift97_fixed_row(simd, x.data(), a.data(), b.data(), 13000,
-                                   n);
+    backend::cell_model().lift97_fixed_row(simd, x.data(), a.data(),
+                                           b.data(), 13000, n);
     benchmark::DoNotOptimize(x.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -1,30 +1,28 @@
 // Kernel backend trait: every hot row kernel of the encode pipeline (MCT,
-// 5/3 and 9/7 lifting DWT, quantization, the T1 prescan primitives) behind
-// one virtual seam with two implementations.
+// 5/3 and 9/7 lifting DWT, quantization, the Local Store shuffles) behind
+// one virtual seam.  The kernels are written once, in
+// backend/row_kernels.cpp, as a class template over a vector-ops policy,
+// and instantiated twice:
 //
-//  * CellModelBackend — the existing instrumented kernels from
-//    cellenc/kernels.* running against cell::Simd.  Every call performs the
-//    real arithmetic AND charges the SPE op counters, so the machine model's
-//    simulated seconds are unchanged: this backend stays the *timing truth*.
-//  * NativeSimdBackend — the same arithmetic lowered to host SIMD
-//    (SSE2/NEON with a scalar fallback, backend/native_simd.hpp).  It
-//    charges no counters; its purpose is *wall-clock truth* (a real measured
-//    encode, bench_native_wallclock) and a second, independently implemented
-//    oracle for byte identity.
+//  * cell_model() — policy cell::Simd.  Every call performs the real
+//    arithmetic AND charges the SPE op counters, so the machine model's
+//    simulated seconds come from it: this backend is the *timing truth*.
+//  * native_simd() — policy nv::Ops (common/native_simd.hpp): the same
+//    kernels over host SIMD (SSE2/NEON with a scalar fallback), with the
+//    counter hooks compiled out.  Its purpose is *wall-clock truth*: a real
+//    measured encode (bench_native_wallclock).
 //
 // Byte identity across backends is a hard invariant, pinned by the golden
-// vectors and tests/backend_diff_test.cpp.  It holds because (a) the integer
-// kernels are exact, and (b) the float kernels use the same operation
-// sequence and association order under the project-wide -ffp-contract=off
-// (root CMakeLists.txt): the Cell model's madd() is a separate multiply and
-// add, and the native backend deliberately lowers it to mul-then-add
-// intrinsics, never an IEEE-fused FMA.
+// vectors and tests/backend_diff_test.cpp.  It holds by construction: both
+// instantiations run the same loop structure and operation sequence, the
+// integer ops are exact, and the float ops round identically under the
+// project-wide -ffp-contract=off (root CMakeLists.txt) — madd() is a
+// separate multiply and add on both, never an IEEE-fused FMA.  The serial
+// jp2k reference kernels and the goldens remain the independent oracle.
 //
-// Methods taking a cell::Simd& execute inside SPE regions and are written
-// under the cellcheck SPE rules (no allocation, no vectors, no locks).  The
-// T1 prescan methods take no Simd handle: Tier-1 timing is a virtual-time
-// replay of symbol counts, not counter-driven, so those run as ordinary
-// host code on both backends.
+// Methods take a cell::Simd& and execute inside SPE regions, written under
+// the cellcheck SPE rules (no allocation, no vectors, no locks); the native
+// instantiation ignores the handle.
 #pragma once
 
 #include <cstddef>
@@ -32,7 +30,6 @@
 #include <string_view>
 
 #include "cell/simd.hpp"
-#include "common/span2d.hpp"
 #include "image/image.hpp"
 
 namespace cj2k::backend {
@@ -105,18 +102,6 @@ class KernelBackend {
                                 float* odd, std::size_t n) const = 0;
   virtual void ls_copy(cell::Simd& s, void* dst, const void* src,
                        std::size_t bytes) const = 0;
-
-  // --- T1 bit-plane prescan primitives (host-side; see header comment) ------
-  /// EBCOT prescan: fills `mag[y*coeffs.width()+x] = |coeffs(y,x)|`, ORs
-  /// `sign_flag` into `flags[y*flags_stride+x]` for negative samples (the
-  /// caller passes the (0,0) cell of its bordered flag plane), and returns
-  /// the maximum magnitude.
-  virtual std::uint32_t t1_mag_sign(Span2d<const Sample> coeffs,
-                                    std::uint32_t* mag, std::uint16_t* flags,
-                                    std::size_t flags_stride,
-                                    std::uint16_t sign_flag) const = 0;
-  /// HT prescan: maximum |coeff| over the block (drives num_bitplanes).
-  virtual std::uint32_t block_maxmag(Span2d<const Sample> coeffs) const = 0;
 };
 
 /// The two process-wide backend singletons.

@@ -157,6 +157,22 @@ class Simd {
     for (int i = 0; i < 4; ++i) r.lane[i] = a.lane[i] < 0 ? -a.lane[i] : a.lane[i];
     return r;
   }
+  /// Float compare against zero: -1 in lanes where a < 0 (so -0.0f is not
+  /// negative), else 0.
+  VecI4 sign_mask(VecF4 a) {
+    ++c_->v_cmp_sel;
+    VecI4 r;
+    for (int i = 0; i < 4; ++i) r.lane[i] = a.lane[i] < 0 ? -1 : 0;
+    return r;
+  }
+  /// Packs four lanes the caller computed and charged itself (the Q13
+  /// quantizer's emulated 64-bit products) into one vector.  Free: on the
+  /// SPU the lanes are already in a register.
+  VecI4 from_lanes(const std::int32_t* lanes) {
+    VecI4 r;
+    std::memcpy(r.lane, lanes, sizeof(r.lane));
+    return r;
+  }
 
   /// Loads 4 consecutive elements from an address that is only 4-byte
   /// aligned — on the SPU this is two quad-word loads plus a shuffle, and

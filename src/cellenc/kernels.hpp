@@ -1,14 +1,14 @@
 // SPE kernel building blocks shared by the pipeline stages: exact-size DMA
-// row transfers and SIMD row arithmetic written against the instrumented
-// cell::Simd layer.  Every helper both performs the real computation and
-// leaves the op counts the cost model consumes.
+// row transfers and the audit-driven row padding.  Every transfer both
+// moves the bytes and leaves the DMA counts the cost model consumes.  The
+// SIMD row arithmetic lives behind backend::KernelBackend
+// (backend/row_kernels.cpp).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 
 #include "cell/dma.hpp"
-#include "cell/simd.hpp"
 #include "common/align.hpp"
 #include "image/image.hpp"
 
@@ -55,102 +55,5 @@ inline std::size_t padded_row_elems(std::size_t elems,
       round_up(elems, kCacheLineBytes / sizeof(Sample));
   return padded <= stride_elems ? padded : elems;
 }
-
-// --- SIMD row arithmetic ----------------------------------------------------
-// All row helpers require `n` to be reachable with a scalar tail; pointers
-// must be quad-word aligned (Local Store allocations are).
-
-/// Merged level-shift + RCT on three integer rows (lossless MCT kernel).
-void simd_shift_rct_row(cell::Simd& s, Sample* r, Sample* g, Sample* b,
-                        std::size_t n, unsigned depth);
-
-/// Level shift only (single-component / extra components).
-void simd_shift_row(cell::Simd& s, Sample* x, std::size_t n, unsigned depth);
-
-/// Merged level-shift + ICT: integer RGB rows -> float YCbCr rows.
-void simd_shift_ict_row(cell::Simd& s, const Sample* r, const Sample* g,
-                        const Sample* b, float* y, float* cb, float* cr,
-                        std::size_t n, unsigned depth);
-
-/// Integer->float with level shift (non-color lossy path).
-void simd_shift_to_float_row(cell::Simd& s, const Sample* x, float* out,
-                             std::size_t n, unsigned depth);
-
-/// row_d -= (row_a + row_b) >> 1   (5/3 vertical predict, across a chunk).
-void simd_predict53_row(cell::Simd& s, Sample* d, const Sample* a,
-                        const Sample* b, std::size_t n);
-
-/// row_d += (row_a + row_b + 2) >> 2   (5/3 vertical update).
-void simd_update53_row(cell::Simd& s, Sample* d, const Sample* a,
-                       const Sample* b, std::size_t n);
-
-/// row_x += c * (row_a + row_b)   (9/7 vertical lifting step, float).
-void simd_lift97_row(cell::Simd& s, float* x, const float* a, const float* b,
-                     float c, std::size_t n);
-
-/// row_x *= c   (9/7 scaling).
-void simd_scale_row(cell::Simd& s, float* x, float c, std::size_t n);
-
-/// Q13 fixed-point 9/7 lifting step (the ablation the paper replaces):
-/// row_x += fix_mul(c_q13, row_a + row_b) — charged as emulated multiplies.
-void simd_lift97_fixed_row(cell::Simd& s, std::int32_t* x,
-                           const std::int32_t* a, const std::int32_t* b,
-                           std::int32_t c_q13, std::size_t n);
-
-/// Dead-zone quantization of a float row into integer indices.
-void simd_quant_row(cell::Simd& s, const float* in, Sample* out,
-                    std::size_t n, float inv_step);
-
-/// Splits an interleaved row into its even- and odd-indexed halves
-/// (the horizontal-filtering "splitting step"; 2 loads + 2 shuffles +
-/// 2 stores per 8 elements on the SPU).
-void simd_deinterleave_row(cell::Simd& s, const Sample* in, Sample* even,
-                           Sample* odd, std::size_t n);
-void simd_deinterleave_row(cell::Simd& s, const float* in, float* even,
-                           float* odd, std::size_t n);
-
-/// Local-Store to Local-Store copy with arbitrary 4-byte alignment (the SPU
-/// does this with quad loads + shuffles; charged accordingly).
-void ls_copy(cell::Simd& s, void* dst, const void* src, std::size_t bytes);
-
-// --- Horizontal DWT row kernels ---------------------------------------------
-// One full in-LS row each: deinterleave into even/odd halves, lifting with
-// clamped mirror boundaries, (9/7) scaling — matching the serial analyze
-// functions bit for bit.
-
-/// In-LS horizontal 5/3 of one row (matches dwt53::analyze).
-void simd_dwt53_h_row(cell::Simd& s, const Sample* in, Sample* even,
-                      Sample* odd, std::size_t n);
-
-/// In-LS horizontal 9/7 of one row (matches dwt97::analyze).
-void simd_dwt97_h_row(cell::Simd& s, const float* in, float* even, float* odd,
-                      std::size_t n);
-
-/// In-LS horizontal 9/7 in Q13 fixed point (matches dwt97::analyze_fixed).
-void simd_dwt97_fixed_h_row(cell::Simd& s, const Sample* in, Sample* even,
-                            Sample* odd, std::size_t n);
-
-// --- Q13 fixed-point kernels (the paper's §4 "before" arithmetic) -----------
-// Each 32-bit multiply is an *emulated* SPE instruction sequence, which is
-// exactly why these kernels lose to the float ones in the cost model.
-
-/// Merged level-shift + fixed-point ICT: integer RGB rows -> Q13 YCbCr.
-void simd_shift_ict_fixed_row(cell::Simd& s, const Sample* r,
-                              const Sample* g, const Sample* b, Sample* y,
-                              Sample* cb, Sample* cr, std::size_t n,
-                              unsigned depth);
-
-/// Level shift to Q13 (non-color fixed path).
-void simd_shift_to_fixed_row(cell::Simd& s, const Sample* x, Sample* out,
-                             std::size_t n, unsigned depth);
-
-/// row_x *= c_q13 (Q13 multiply; 9/7 fixed scaling step).
-void simd_scale_fixed_row(cell::Simd& s, Sample* x, Sample c_q13,
-                          std::size_t n);
-
-/// Fixed-point dead-zone quantization via Q16 reciprocal multiply
-/// (64-bit product = two emulated multiplies per vector).
-void simd_quant_fixed_row(cell::Simd& s, const Sample* in_q13, Sample* out,
-                          std::size_t n, std::int64_t inv_q16);
 
 }  // namespace cj2k::cellenc

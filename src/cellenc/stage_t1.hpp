@@ -69,6 +69,10 @@ struct T1StageResult {
 /// or the Part-15 HT cleanup pass (per-sample costs; ht_block.hpp).  HT
 /// blocks have no truncation points, so `hulls` must be null for HT — the
 /// PCRD machinery the hulls feed does not exist on that path.
+///
+/// `bk` is unused: Tier-1 has no row kernels (its one vector primitive,
+/// jp2k::block_prescan, charges no counters), so both backends code blocks
+/// identically.  The parameter stays for the callers that pass it.
 T1StageResult stage_t1(
     cell::Machine& m, jp2k::Tile& tile,
     const std::vector<Span2d<const Sample>>& coeff_planes,

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
@@ -42,53 +41,34 @@ class WorkQueue {
 
 /// Multi-producer single-consumer completion channel: the ordered hand-off
 /// between a worker pool and a serial consumer (the PPE stitching Tier-2
-/// packets while SPEs are still coding later precinct streams).  Workers
-/// push finished item indices; the consumer pops them in completion order,
-/// blocking until an item arrives, and is released once every expected item
-/// has been delivered.
+/// packets while SPEs are still coding later precinct streams).  A
+/// mutex-guarded FIFO: workers push finished item indices, and the consumer
+/// polls them in completion order, helping with the remaining work whenever
+/// nothing is waiting.
 class CompletionChannel {
  public:
-  explicit CompletionChannel(std::size_t expected) : expected_(expected) {}
+  /// Reserves room for the `expected` items that will be pushed.
+  explicit CompletionChannel(std::size_t expected) { fifo_.reserve(expected); }
 
   /// Announces item `index` as finished (any thread).
   void push(std::size_t index) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      fifo_.push_back(index);
-    }
-    cv_.notify_one();
+    std::lock_guard<std::mutex> lock(mu_);
+    fifo_.push_back(index);
   }
 
-  /// Pops the next finished item in completion order; blocks while the
-  /// channel is empty.  Returns false once all `expected` items have been
-  /// popped (the consumer is done).
-  bool pop(std::size_t& index) {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (popped_ == expected_) return false;
-    cv_.wait(lock, [&] { return head_ < fifo_.size(); });
-    index = fifo_[head_++];
-    ++popped_;
-    return true;
-  }
-
-  /// Non-blocking pop: false when no finished item is waiting.
+  /// Pops the next finished item in completion order; false when no
+  /// finished item is waiting.
   bool try_pop(std::size_t& index) {
     std::lock_guard<std::mutex> lock(mu_);
     if (head_ == fifo_.size()) return false;
     index = fifo_[head_++];
-    ++popped_;
     return true;
   }
 
-  std::size_t expected() const { return expected_; }
-
  private:
   std::mutex mu_;
-  std::condition_variable cv_;
   std::vector<std::size_t> fifo_;  ///< Completion order; head_ is the cursor.
   std::size_t head_ = 0;
-  std::size_t popped_ = 0;
-  std::size_t expected_;
 };
 
 /// Result of a virtual-time schedule.

@@ -1,6 +1,9 @@
 #include "jp2k/t1_common.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
+#include "common/native_simd.hpp"
 
 namespace cj2k::jp2k {
 
@@ -69,6 +72,43 @@ ScLookup sc_lookup(int hc, int vc) {
   if (vc == 1) return {kCtxScBase + 2, 1};
   if (vc == 0) return {kCtxScBase + 3, 1};
   return {kCtxScBase + 4, 1};
+}
+
+std::uint32_t block_prescan(Span2d<const Sample> coeffs, std::uint32_t* mag,
+                            T1Flags* flags) {
+  const std::size_t w = coeffs.width();
+  const std::size_t h = coeffs.height();
+  nv::I4 vmax = nv::splat(Sample{0});
+  std::uint32_t maxmag = 0;
+  for (std::size_t y = 0; y < h; ++y) {
+    const Sample* row = coeffs.row(y);
+    auto* mrow = mag ? reinterpret_cast<std::int32_t*>(mag + y * w) : nullptr;
+    std::size_t x = 0;
+    for (; x + 4 <= w; x += 4) {
+      const nv::I4 m = nv::abs(nv::load(row + x));
+      if (mrow) nv::store(mrow + x, m);
+      vmax = nv::max(m, vmax);
+    }
+    for (; x < w; ++x) {
+      const std::uint32_t m =
+          static_cast<std::uint32_t>(row[x] < 0 ? -row[x] : row[x]);
+      if (mrow) mrow[x] = static_cast<std::int32_t>(m);
+      if (m > maxmag) maxmag = m;
+    }
+    // Sign flags are sparse bit ORs into the bordered flag plane; scalar.
+    if (flags) {
+      std::uint16_t* frow = &flags->at(y, 0);
+      for (x = 0; x < w; ++x) {
+        if (row[x] < 0) frow[x] |= kFlagSign;
+      }
+    }
+  }
+  std::int32_t lanes[4];
+  nv::store(lanes, vmax);
+  for (const std::int32_t l : lanes) {
+    maxmag = std::max(maxmag, static_cast<std::uint32_t>(l));
+  }
+  return maxmag;
 }
 
 }  // namespace cj2k::jp2k

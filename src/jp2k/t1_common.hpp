@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/span2d.hpp"
+#include "image/image.hpp"
 #include "jp2k/mq.hpp"
 
 namespace cj2k::jp2k {
@@ -165,6 +167,16 @@ struct T1Flags {
   std::size_t stride;
   std::vector<std::uint16_t> cells;
 };
+
+/// Block prescan shared by both block coders: returns the maximum
+/// |coefficient|, which fixes the block's bit-plane count.  The EBCOT coder
+/// also passes `mag`, filled with |coeffs(y,x)| at y*width+x, and `flags`,
+/// which gets kFlagSign on every negative sample; the HT coder passes
+/// neither.  Vectorized on host SIMD (common/native_simd.hpp).  Tier-1
+/// timing is a replay of symbol counts, so the prescan charges no counters.
+std::uint32_t block_prescan(Span2d<const Sample> coeffs,
+                            std::uint32_t* mag = nullptr,
+                            T1Flags* flags = nullptr);
 
 /// Height of the Tier-1 scan stripe.
 inline constexpr std::size_t kStripeHeight = 4;

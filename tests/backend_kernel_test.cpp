@@ -1,7 +1,7 @@
 // Kernel-level property tests for the backend trait (DESIGN.md §13): every
-// KernelBackend method, exercised directly against the serial jp2k
-// reference and cross-checked between the two implementations, over odd
-// widths and exact-size buffers.
+// KernelBackend method, on both instantiations of the one kernel source,
+// exercised directly against the serial jp2k reference over odd widths and
+// exact-size buffers, plus the Cell model's pinned op-counter charges.
 //
 // The buffers are AlignedBuffers sized to EXACTLY the element count each
 // kernel is allowed to touch — no stride padding.  Under the ASan CI leg
@@ -11,8 +11,11 @@
 // stray read changed bytes).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstring>
+#include <functional>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -28,7 +31,6 @@
 #include "jp2k/dwt97.hpp"
 #include "jp2k/encoder.hpp"
 #include "jp2k/mct.hpp"
-#include "jp2k/t1_common.hpp"
 
 namespace cj2k {
 namespace {
@@ -408,53 +410,326 @@ TEST_P(BackendKernel, DeinterleaveAndCopyMatchScalarContracts) {
   }
 }
 
-// --- T1 prescan primitives --------------------------------------------------
+// --- Cell-model op-counter pins --------------------------------------------
 
-TEST_P(BackendKernel, T1MagSignMatchesScalarPrescan) {
-  Rng rng(113);
-  for (const auto& [w, h] : {std::pair<std::size_t, std::size_t>{1, 1},
-                            {7, 5},
-                            {24, 24},
-                            {33, 31},
-                            {64, 17}}) {
-    // Exact-size coefficient plane (no stride padding to hide in).
-    auto coeffs = exact<Sample>(w * h);
-    fill_samples(rng, coeffs.data(), w * h, 1 << 16);
-    Span2d<const Sample> view(coeffs.data(), w, h, w);
+// The Cell model's simulated seconds are computed from the op counters its
+// row kernels charge, so the charges are behaviour too.  This table pins one
+// call of every Cell-model kernel at each width, and for the two quantizers
+// at each 0-3-element start offset past a quad-word boundary (the scalar
+// alignment prologue).  Each row lists the twelve SIMD and scalar fields in
+// OpCounters declaration order, v_load through s_branch; a row kernel
+// charges no Tier-1 or DMA fields.
+constexpr std::size_t kPinWidths[] = {1, 3, 4, 7, 24, 97};
 
-    jp2k::T1Flags flags(w, h);
-    std::vector<std::uint32_t> mag(w * h, 0xDEADBEEF);
-    const std::uint32_t maxmag = bk().t1_mag_sign(
-        view, mag.data(), &flags.at(0, 0), flags.stride, jp2k::kFlagSign);
+struct CounterPin {
+  const char* kernel;
+  std::size_t n;
+  std::size_t offset;
+  std::array<std::uint64_t, 12> charges;
+};
 
-    std::uint32_t ref_max = 0;
-    for (std::size_t y = 0; y < h; ++y) {
-      for (std::size_t x = 0; x < w; ++x) {
-        const Sample v = view(y, x);
-        const std::uint32_t m =
-            static_cast<std::uint32_t>(v < 0 ? -static_cast<std::int64_t>(v)
-                                             : v);
-        EXPECT_EQ(mag[y * w + x], m) << w << "x" << h;
-        EXPECT_EQ(flags.at(y, x) & jp2k::kFlagSign,
-                  v < 0 ? jp2k::kFlagSign : 0)
-            << w << "x" << h;
-        if (m > ref_max) ref_max = m;
+// clang-format off
+constexpr CounterPin kCounterPins[] = {
+    {"shift_rct_row", 1, 0, {0, 0, 0, 0, 0, 0, 0, 1, 0, 4, 0, 0}},
+    {"shift_rct_row", 3, 0, {0, 0, 0, 0, 0, 0, 0, 1, 0, 12, 0, 0}},
+    {"shift_rct_row", 4, 0, {3, 3, 8, 0, 0, 1, 0, 1, 0, 1, 0, 0}},
+    {"shift_rct_row", 7, 0, {3, 3, 8, 0, 0, 1, 0, 1, 0, 13, 0, 0}},
+    {"shift_rct_row", 24, 0, {18, 18, 48, 0, 0, 6, 0, 1, 0, 6, 0, 0}},
+    {"shift_rct_row", 97, 0, {72, 72, 192, 0, 0, 24, 0, 1, 0, 28, 0, 0}},
+    {"shift_row", 1, 0, {0, 0, 0, 0, 0, 0, 0, 1, 0, 4, 0, 0}},
+    {"shift_row", 3, 0, {0, 0, 0, 0, 0, 0, 0, 1, 0, 12, 0, 0}},
+    {"shift_row", 4, 0, {1, 1, 1, 0, 0, 0, 0, 1, 0, 1, 0, 0}},
+    {"shift_row", 7, 0, {1, 1, 1, 0, 0, 0, 0, 1, 0, 13, 0, 0}},
+    {"shift_row", 24, 0, {6, 6, 6, 0, 0, 0, 0, 1, 0, 6, 0, 0}},
+    {"shift_row", 97, 0, {24, 24, 24, 0, 0, 0, 0, 1, 0, 28, 0, 0}},
+    {"shift_ict_row", 1, 0, {0, 0, 0, 0, 0, 0, 0, 10, 0, 4, 0, 0}},
+    {"shift_ict_row", 3, 0, {0, 0, 0, 0, 0, 0, 0, 10, 0, 12, 0, 0}},
+    {"shift_ict_row", 4, 0, {3, 3, 3, 9, 0, 0, 0, 10, 3, 1, 0, 0}},
+    {"shift_ict_row", 7, 0, {3, 3, 3, 9, 0, 0, 0, 10, 3, 13, 0, 0}},
+    {"shift_ict_row", 24, 0, {18, 18, 18, 54, 0, 0, 0, 10, 18, 6, 0, 0}},
+    {"shift_ict_row", 97, 0, {72, 72, 72, 216, 0, 0, 0, 10, 72, 28, 0, 0}},
+    {"shift_to_float_row", 1, 0, {0, 0, 0, 0, 0, 0, 0, 1, 0, 4, 0, 0}},
+    {"shift_to_float_row", 3, 0, {0, 0, 0, 0, 0, 0, 0, 1, 0, 12, 0, 0}},
+    {"shift_to_float_row", 4, 0, {1, 1, 1, 0, 0, 0, 0, 1, 1, 1, 0, 0}},
+    {"shift_to_float_row", 7, 0, {1, 1, 1, 0, 0, 0, 0, 1, 1, 13, 0, 0}},
+    {"shift_to_float_row", 24, 0, {6, 6, 6, 0, 0, 0, 0, 1, 6, 6, 0, 0}},
+    {"shift_to_float_row", 97, 0, {24, 24, 24, 0, 0, 0, 0, 1, 24, 28, 0, 0}},
+    {"shift_ict_fixed_row", 1, 0, {0, 0, 0, 0, 0, 0, 0, 10, 0, 4, 0, 0}},
+    {"shift_ict_fixed_row", 3, 0, {0, 0, 0, 0, 0, 0, 0, 10, 0, 12, 0, 0}},
+    {"shift_ict_fixed_row", 4, 0, {3, 3, 9, 0, 9, 0, 0, 10, 0, 1, 0, 0}},
+    {"shift_ict_fixed_row", 7, 0, {3, 3, 9, 0, 9, 0, 0, 10, 0, 13, 0, 0}},
+    {"shift_ict_fixed_row", 24, 0, {18, 18, 54, 0, 54, 0, 0, 10, 0, 6, 0, 0}},
+    {"shift_ict_fixed_row", 97, 0, {72, 72, 216, 0, 216, 0, 0, 10, 0, 28, 0, 0}},
+    {"shift_to_fixed_row", 1, 0, {0, 0, 0, 0, 0, 0, 0, 1, 0, 4, 0, 0}},
+    {"shift_to_fixed_row", 3, 0, {0, 0, 0, 0, 0, 0, 0, 1, 0, 12, 0, 0}},
+    {"shift_to_fixed_row", 4, 0, {1, 1, 1, 0, 0, 1, 0, 1, 0, 1, 0, 0}},
+    {"shift_to_fixed_row", 7, 0, {1, 1, 1, 0, 0, 1, 0, 1, 0, 13, 0, 0}},
+    {"shift_to_fixed_row", 24, 0, {6, 6, 6, 0, 0, 6, 0, 1, 0, 6, 0, 0}},
+    {"shift_to_fixed_row", 97, 0, {24, 24, 24, 0, 0, 24, 0, 1, 0, 28, 0, 0}},
+    {"predict53_row", 1, 0, {0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0}},
+    {"predict53_row", 3, 0, {0, 0, 0, 0, 0, 0, 0, 0, 0, 12, 0, 0}},
+    {"predict53_row", 4, 0, {3, 1, 2, 0, 0, 1, 0, 0, 0, 1, 0, 0}},
+    {"predict53_row", 7, 0, {3, 1, 2, 0, 0, 1, 0, 0, 0, 13, 0, 0}},
+    {"predict53_row", 24, 0, {18, 6, 12, 0, 0, 6, 0, 0, 0, 6, 0, 0}},
+    {"predict53_row", 97, 0, {72, 24, 48, 0, 0, 24, 0, 0, 0, 28, 0, 0}},
+    {"update53_row", 1, 0, {0, 0, 0, 0, 0, 0, 0, 1, 0, 4, 0, 0}},
+    {"update53_row", 3, 0, {0, 0, 0, 0, 0, 0, 0, 1, 0, 12, 0, 0}},
+    {"update53_row", 4, 0, {3, 1, 3, 0, 0, 1, 0, 1, 0, 1, 0, 0}},
+    {"update53_row", 7, 0, {3, 1, 3, 0, 0, 1, 0, 1, 0, 13, 0, 0}},
+    {"update53_row", 24, 0, {18, 6, 18, 0, 0, 6, 0, 1, 0, 6, 0, 0}},
+    {"update53_row", 97, 0, {72, 24, 72, 0, 0, 24, 0, 1, 0, 28, 0, 0}},
+    {"lift97_row", 1, 0, {0, 0, 0, 0, 0, 0, 0, 1, 0, 4, 0, 0}},
+    {"lift97_row", 3, 0, {0, 0, 0, 0, 0, 0, 0, 1, 0, 12, 0, 0}},
+    {"lift97_row", 4, 0, {3, 1, 1, 1, 0, 0, 0, 1, 0, 1, 0, 0}},
+    {"lift97_row", 7, 0, {3, 1, 1, 1, 0, 0, 0, 1, 0, 13, 0, 0}},
+    {"lift97_row", 24, 0, {18, 6, 6, 6, 0, 0, 0, 1, 0, 6, 0, 0}},
+    {"lift97_row", 97, 0, {72, 24, 24, 24, 0, 0, 0, 1, 0, 28, 0, 0}},
+    {"scale_row", 1, 0, {0, 0, 0, 0, 0, 0, 0, 1, 0, 4, 0, 0}},
+    {"scale_row", 3, 0, {0, 0, 0, 0, 0, 0, 0, 1, 0, 12, 0, 0}},
+    {"scale_row", 4, 0, {1, 1, 0, 1, 0, 0, 0, 1, 0, 1, 0, 0}},
+    {"scale_row", 7, 0, {1, 1, 0, 1, 0, 0, 0, 1, 0, 13, 0, 0}},
+    {"scale_row", 24, 0, {6, 6, 0, 6, 0, 0, 0, 1, 0, 6, 0, 0}},
+    {"scale_row", 97, 0, {24, 24, 0, 24, 0, 0, 0, 1, 0, 28, 0, 0}},
+    {"lift97_fixed_row", 1, 0, {0, 0, 0, 0, 0, 0, 0, 1, 0, 4, 0, 0}},
+    {"lift97_fixed_row", 3, 0, {0, 0, 0, 0, 0, 0, 0, 1, 0, 12, 0, 0}},
+    {"lift97_fixed_row", 4, 0, {3, 1, 2, 0, 1, 1, 0, 1, 0, 1, 0, 0}},
+    {"lift97_fixed_row", 7, 0, {3, 1, 2, 0, 1, 1, 0, 1, 0, 13, 0, 0}},
+    {"lift97_fixed_row", 24, 0, {18, 6, 12, 0, 6, 6, 0, 1, 0, 6, 0, 0}},
+    {"lift97_fixed_row", 97, 0, {72, 24, 48, 0, 24, 24, 0, 1, 0, 28, 0, 0}},
+    {"scale_fixed_row", 1, 0, {0, 0, 0, 0, 0, 0, 0, 1, 0, 4, 0, 0}},
+    {"scale_fixed_row", 3, 0, {0, 0, 0, 0, 0, 0, 0, 1, 0, 12, 0, 0}},
+    {"scale_fixed_row", 4, 0, {1, 1, 0, 0, 1, 1, 0, 1, 0, 1, 0, 0}},
+    {"scale_fixed_row", 7, 0, {1, 1, 0, 0, 1, 1, 0, 1, 0, 13, 0, 0}},
+    {"scale_fixed_row", 24, 0, {6, 6, 0, 0, 6, 6, 0, 1, 0, 6, 0, 0}},
+    {"scale_fixed_row", 97, 0, {24, 24, 0, 0, 24, 24, 0, 1, 0, 28, 0, 0}},
+    {"dwt53_h_row", 1, 0, {0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0}},
+    {"dwt53_h_row", 3, 0, {0, 0, 0, 0, 0, 0, 0, 1, 0, 21, 0, 0}},
+    {"dwt53_h_row", 4, 0, {0, 0, 0, 0, 0, 0, 0, 1, 0, 28, 0, 0}},
+    {"dwt53_h_row", 7, 0, {0, 0, 0, 0, 0, 0, 0, 1, 0, 49, 0, 0}},
+    {"dwt53_h_row", 24, 0, {22, 10, 10, 0, 0, 4, 0, 11, 0, 39, 0, 0}},
+    {"dwt53_h_row", 97, 0, {116, 47, 57, 0, 0, 23, 0, 48, 0, 58, 0, 0}},
+    {"dwt97_h_row", 1, 0, {0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0}},
+    {"dwt97_h_row", 3, 0, {0, 0, 0, 0, 0, 0, 0, 6, 0, 45, 0, 0}},
+    {"dwt97_h_row", 4, 0, {0, 0, 0, 0, 0, 0, 0, 6, 0, 60, 0, 0}},
+    {"dwt97_h_row", 7, 0, {1, 1, 0, 1, 0, 0, 0, 6, 0, 90, 0, 0}},
+    {"dwt97_h_row", 24, 0, {44, 20, 8, 14, 0, 0, 0, 20, 0, 81, 0, 0}},
+    {"dwt97_h_row", 97, 0, {232, 94, 46, 70, 0, 0, 0, 76, 0, 129, 0, 0}},
+    {"dwt97_fixed_h_row", 1, 0, {0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0}},
+    {"dwt97_fixed_h_row", 3, 0, {0, 0, 0, 0, 0, 0, 0, 6, 0, 57, 0, 0}},
+    {"dwt97_fixed_h_row", 4, 0, {0, 0, 0, 0, 0, 0, 0, 6, 0, 76, 0, 0}},
+    {"dwt97_fixed_h_row", 7, 0, {1, 1, 0, 0, 1, 1, 0, 6, 0, 118, 0, 0}},
+    {"dwt97_fixed_h_row", 24, 0, {44, 20, 16, 0, 14, 14, 0, 20, 0, 113, 0, 0}},
+    {"dwt97_fixed_h_row", 97, 0, {232, 94, 92, 0, 70, 70, 0, 76, 0, 149, 0, 0}},
+    {"quant_row", 1, 0, {0, 0, 0, 0, 0, 0, 0, 2, 0, 4, 0, 0}},
+    {"quant_row", 1, 1, {0, 0, 0, 0, 0, 0, 0, 2, 0, 4, 0, 0}},
+    {"quant_row", 1, 2, {0, 0, 0, 0, 0, 0, 0, 2, 0, 4, 0, 0}},
+    {"quant_row", 1, 3, {0, 0, 0, 0, 0, 0, 0, 2, 0, 4, 0, 0}},
+    {"quant_row", 3, 0, {0, 0, 0, 0, 0, 0, 0, 2, 0, 12, 0, 0}},
+    {"quant_row", 3, 1, {0, 0, 0, 0, 0, 0, 0, 2, 0, 12, 0, 0}},
+    {"quant_row", 3, 2, {0, 0, 0, 0, 0, 0, 0, 2, 0, 12, 0, 0}},
+    {"quant_row", 3, 3, {0, 0, 0, 0, 0, 0, 0, 2, 0, 12, 0, 0}},
+    {"quant_row", 4, 0, {1, 1, 1, 1, 0, 0, 3, 2, 1, 1, 0, 0}},
+    {"quant_row", 4, 1, {0, 0, 0, 0, 0, 0, 0, 2, 0, 16, 0, 0}},
+    {"quant_row", 4, 2, {0, 0, 0, 0, 0, 0, 0, 2, 0, 16, 0, 0}},
+    {"quant_row", 4, 3, {0, 0, 0, 0, 0, 0, 0, 2, 0, 16, 0, 0}},
+    {"quant_row", 7, 0, {1, 1, 1, 1, 0, 0, 3, 2, 1, 13, 0, 0}},
+    {"quant_row", 7, 1, {1, 1, 1, 1, 0, 0, 3, 2, 1, 13, 0, 0}},
+    {"quant_row", 7, 2, {1, 1, 1, 1, 0, 0, 3, 2, 1, 13, 0, 0}},
+    {"quant_row", 7, 3, {1, 1, 1, 1, 0, 0, 3, 2, 1, 13, 0, 0}},
+    {"quant_row", 24, 0, {6, 6, 6, 6, 0, 0, 18, 2, 6, 6, 0, 0}},
+    {"quant_row", 24, 1, {5, 5, 5, 5, 0, 0, 15, 2, 5, 21, 0, 0}},
+    {"quant_row", 24, 2, {5, 5, 5, 5, 0, 0, 15, 2, 5, 21, 0, 0}},
+    {"quant_row", 24, 3, {5, 5, 5, 5, 0, 0, 15, 2, 5, 21, 0, 0}},
+    {"quant_row", 97, 0, {24, 24, 24, 24, 0, 0, 72, 2, 24, 28, 0, 0}},
+    {"quant_row", 97, 1, {23, 23, 23, 23, 0, 0, 69, 2, 23, 43, 0, 0}},
+    {"quant_row", 97, 2, {23, 23, 23, 23, 0, 0, 69, 2, 23, 43, 0, 0}},
+    {"quant_row", 97, 3, {24, 24, 24, 24, 0, 0, 72, 2, 24, 28, 0, 0}},
+    {"quant_fixed_row", 1, 0, {0, 0, 0, 0, 0, 0, 0, 0, 0, 6, 0, 0}},
+    {"quant_fixed_row", 1, 1, {0, 0, 0, 0, 0, 0, 0, 0, 0, 6, 0, 0}},
+    {"quant_fixed_row", 1, 2, {0, 0, 0, 0, 0, 0, 0, 0, 0, 6, 0, 0}},
+    {"quant_fixed_row", 1, 3, {0, 0, 0, 0, 0, 0, 0, 0, 0, 6, 0, 0}},
+    {"quant_fixed_row", 3, 0, {0, 0, 0, 0, 0, 0, 0, 0, 0, 18, 0, 0}},
+    {"quant_fixed_row", 3, 1, {0, 0, 0, 0, 0, 0, 0, 0, 0, 18, 0, 0}},
+    {"quant_fixed_row", 3, 2, {0, 0, 0, 0, 0, 0, 0, 0, 0, 18, 0, 0}},
+    {"quant_fixed_row", 3, 3, {0, 0, 0, 0, 0, 0, 0, 0, 0, 18, 0, 0}},
+    {"quant_fixed_row", 4, 0, {1, 1, 0, 0, 2, 1, 2, 0, 0, 1, 0, 0}},
+    {"quant_fixed_row", 4, 1, {0, 0, 0, 0, 0, 0, 0, 0, 0, 24, 0, 0}},
+    {"quant_fixed_row", 4, 2, {0, 0, 0, 0, 0, 0, 0, 0, 0, 24, 0, 0}},
+    {"quant_fixed_row", 4, 3, {0, 0, 0, 0, 0, 0, 0, 0, 0, 24, 0, 0}},
+    {"quant_fixed_row", 7, 0, {1, 1, 0, 0, 2, 1, 2, 0, 0, 19, 0, 0}},
+    {"quant_fixed_row", 7, 1, {1, 1, 0, 0, 2, 1, 2, 0, 0, 19, 0, 0}},
+    {"quant_fixed_row", 7, 2, {1, 1, 0, 0, 2, 1, 2, 0, 0, 19, 0, 0}},
+    {"quant_fixed_row", 7, 3, {1, 1, 0, 0, 2, 1, 2, 0, 0, 19, 0, 0}},
+    {"quant_fixed_row", 24, 0, {6, 6, 0, 0, 12, 6, 12, 0, 0, 6, 0, 0}},
+    {"quant_fixed_row", 24, 1, {5, 5, 0, 0, 10, 5, 10, 0, 0, 29, 0, 0}},
+    {"quant_fixed_row", 24, 2, {5, 5, 0, 0, 10, 5, 10, 0, 0, 29, 0, 0}},
+    {"quant_fixed_row", 24, 3, {5, 5, 0, 0, 10, 5, 10, 0, 0, 29, 0, 0}},
+    {"quant_fixed_row", 97, 0, {24, 24, 0, 0, 48, 24, 48, 0, 0, 30, 0, 0}},
+    {"quant_fixed_row", 97, 1, {23, 23, 0, 0, 46, 23, 46, 0, 0, 53, 0, 0}},
+    {"quant_fixed_row", 97, 2, {23, 23, 0, 0, 46, 23, 46, 0, 0, 53, 0, 0}},
+    {"quant_fixed_row", 97, 3, {24, 24, 0, 0, 48, 24, 48, 0, 0, 30, 0, 0}},
+    {"deinterleave_row/int", 1, 0, {0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0}},
+    {"deinterleave_row/int", 3, 0, {0, 0, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0}},
+    {"deinterleave_row/int", 4, 0, {0, 0, 0, 0, 0, 0, 0, 0, 0, 12, 0, 0}},
+    {"deinterleave_row/int", 7, 0, {0, 0, 0, 0, 0, 0, 0, 0, 0, 21, 0, 0}},
+    {"deinterleave_row/int", 24, 0, {6, 6, 0, 0, 0, 0, 0, 6, 0, 3, 0, 0}},
+    {"deinterleave_row/int", 97, 0, {24, 24, 0, 0, 0, 0, 0, 24, 0, 15, 0, 0}},
+    {"deinterleave_row/float", 1, 0, {0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0}},
+    {"deinterleave_row/float", 3, 0, {0, 0, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0}},
+    {"deinterleave_row/float", 4, 0, {0, 0, 0, 0, 0, 0, 0, 0, 0, 12, 0, 0}},
+    {"deinterleave_row/float", 7, 0, {0, 0, 0, 0, 0, 0, 0, 0, 0, 21, 0, 0}},
+    {"deinterleave_row/float", 24, 0, {6, 6, 0, 0, 0, 0, 0, 6, 0, 3, 0, 0}},
+    {"deinterleave_row/float", 97, 0, {24, 24, 0, 0, 0, 0, 0, 24, 0, 15, 0, 0}},
+    {"ls_copy", 1, 0, {1, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0}},
+    {"ls_copy", 3, 0, {1, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0}},
+    {"ls_copy", 4, 0, {1, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0}},
+    {"ls_copy", 7, 0, {2, 2, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0}},
+    {"ls_copy", 24, 0, {6, 6, 0, 0, 0, 0, 0, 6, 0, 0, 0, 0}},
+    {"ls_copy", 97, 0, {25, 25, 0, 0, 0, 0, 0, 25, 0, 0, 0, 0}},
+};
+// clang-format on
+
+std::array<std::uint64_t, 12> simd_and_scalar_fields(
+    const cell::OpCounters& c) {
+  return {c.v_load,    c.v_store, c.v_add,     c.v_mul_f,
+          c.v_mul_i_emul, c.v_shift, c.v_cmp_sel, c.v_shuffle,
+          c.v_cvt,     c.s_int,   c.s_float,   c.s_branch};
+}
+
+TEST(BackendKernel, CellCountersPinned) {
+  constexpr std::size_t kCap = 128;
+  AlignedBuffer<Sample> a(kCap, 16), b(kCap, 16), c(kCap, 16), d(kCap, 16),
+      e(kCap, 16), f(kCap, 16);
+  AlignedBuffer<float> fa(kCap, 16), fb(kCap, 16), fd(kCap, 16),
+      fe(kCap, 16), ff(kCap, 16);
+  const auto refill = [&] {
+    for (std::size_t i = 0; i < kCap; ++i) {
+      a[i] = static_cast<Sample>((i * 37) % 256);
+      b[i] = static_cast<Sample>((i * 11 + 5) % 256);
+      c[i] = static_cast<Sample>((i * 101 + 17) % 256);
+      fa[i] = static_cast<float>(a[i]) - 127.5f;
+      fb[i] = static_cast<float>(b[i]) * 0.25f;
+    }
+  };
+
+  struct Call {
+    const char* name;
+    bool offsets;  ///< Also run at 1-3-element misaligned starts.
+    std::function<void(cell::Simd&, std::size_t n, std::size_t off)> run;
+  };
+  const backend::KernelBackend& bk = backend::cell_model();
+  const Call calls[] = {
+      {"shift_rct_row", false,
+       [&](cell::Simd& s, std::size_t n, std::size_t) {
+         bk.shift_rct_row(s, a.data(), b.data(), c.data(), n, 8);
+       }},
+      {"shift_row", false,
+       [&](cell::Simd& s, std::size_t n, std::size_t) {
+         bk.shift_row(s, a.data(), n, 8);
+       }},
+      {"shift_ict_row", false,
+       [&](cell::Simd& s, std::size_t n, std::size_t) {
+         bk.shift_ict_row(s, a.data(), b.data(), c.data(), fd.data(),
+                          fe.data(), ff.data(), n, 8);
+       }},
+      {"shift_to_float_row", false,
+       [&](cell::Simd& s, std::size_t n, std::size_t) {
+         bk.shift_to_float_row(s, a.data(), fd.data(), n, 8);
+       }},
+      {"shift_ict_fixed_row", false,
+       [&](cell::Simd& s, std::size_t n, std::size_t) {
+         bk.shift_ict_fixed_row(s, a.data(), b.data(), c.data(), d.data(),
+                                e.data(), f.data(), n, 8);
+       }},
+      {"shift_to_fixed_row", false,
+       [&](cell::Simd& s, std::size_t n, std::size_t) {
+         bk.shift_to_fixed_row(s, a.data(), d.data(), n, 8);
+       }},
+      {"predict53_row", false,
+       [&](cell::Simd& s, std::size_t n, std::size_t) {
+         bk.predict53_row(s, d.data(), a.data(), b.data(), n);
+       }},
+      {"update53_row", false,
+       [&](cell::Simd& s, std::size_t n, std::size_t) {
+         bk.update53_row(s, d.data(), a.data(), b.data(), n);
+       }},
+      {"lift97_row", false,
+       [&](cell::Simd& s, std::size_t n, std::size_t) {
+         bk.lift97_row(s, fd.data(), fa.data(), fb.data(),
+                       jp2k::dwt97::kAlpha, n);
+       }},
+      {"scale_row", false,
+       [&](cell::Simd& s, std::size_t n, std::size_t) {
+         bk.scale_row(s, fa.data(), jp2k::dwt97::kK, n);
+       }},
+      {"lift97_fixed_row", false,
+       [&](cell::Simd& s, std::size_t n, std::size_t) {
+         bk.lift97_fixed_row(s, d.data(), a.data(), b.data(),
+                             jp2k::dwt97::kFxGamma, n);
+       }},
+      {"scale_fixed_row", false,
+       [&](cell::Simd& s, std::size_t n, std::size_t) {
+         bk.scale_fixed_row(s, a.data(), jp2k::dwt97::kFxK, n);
+       }},
+      {"dwt53_h_row", false,
+       [&](cell::Simd& s, std::size_t n, std::size_t) {
+         bk.dwt53_h_row(s, a.data(), d.data(), e.data(), n);
+       }},
+      {"dwt97_h_row", false,
+       [&](cell::Simd& s, std::size_t n, std::size_t) {
+         bk.dwt97_h_row(s, fa.data(), fd.data(), fe.data(), n);
+       }},
+      {"dwt97_fixed_h_row", false,
+       [&](cell::Simd& s, std::size_t n, std::size_t) {
+         bk.dwt97_fixed_h_row(s, a.data(), d.data(), e.data(), n);
+       }},
+      {"quant_row", true,
+       [&](cell::Simd& s, std::size_t n, std::size_t off) {
+         bk.quant_row(s, fa.data() + off, d.data() + off, n, 1.0f / 0.37f);
+       }},
+      {"quant_fixed_row", true,
+       [&](cell::Simd& s, std::size_t n, std::size_t off) {
+         bk.quant_fixed_row(s, a.data() + off, d.data() + off, n, 177124);
+       }},
+      {"deinterleave_row/int", false,
+       [&](cell::Simd& s, std::size_t n, std::size_t) {
+         bk.deinterleave_row(s, a.data(), d.data(), e.data(), n);
+       }},
+      {"deinterleave_row/float", false,
+       [&](cell::Simd& s, std::size_t n, std::size_t) {
+         bk.deinterleave_row(s, fa.data(), fd.data(), fe.data(), n);
+       }},
+      {"ls_copy", false,
+       [&](cell::Simd& s, std::size_t n, std::size_t) {
+         bk.ls_copy(s, d.data(), a.data(), n * sizeof(Sample));
+       }},
+  };
+
+  std::size_t next = 0;
+  for (const Call& call : calls) {
+    for (const std::size_t n : kPinWidths) {
+      for (std::size_t off = 0; off < (call.offsets ? 4u : 1u); ++off) {
+        refill();
+        cell::OpCounters oc;
+        cell::Simd s(oc);
+        call.run(s, n, off);
+        ASSERT_LT(next, std::size(kCounterPins));
+        const CounterPin& pin = kCounterPins[next++];
+        ASSERT_STREQ(pin.kernel, call.name);
+        ASSERT_EQ(pin.n, n);
+        ASSERT_EQ(pin.offset, off);
+        EXPECT_EQ(simd_and_scalar_fields(oc), pin.charges)
+            << call.name << " n=" << n << " offset=" << off;
+        EXPECT_EQ(oc.t1_symbols, 0u) << call.name;
+        EXPECT_EQ(oc.dma_bytes_in + oc.dma_bytes_out + oc.dma_transfers +
+                      oc.dma_unaligned + oc.dma_tagged_transfers +
+                      oc.dma_bytes_tagged,
+                  0u)
+            << call.name;
       }
     }
-    EXPECT_EQ(maxmag, ref_max) << w << "x" << h;
-    EXPECT_EQ(bk().block_maxmag(view), ref_max) << w << "x" << h;
   }
-
-  // The all-zero block: both prescans must report zero.
-  auto zeros = exact<Sample>(12 * 9);
-  std::memset(zeros.data(), 0, 12 * 9 * sizeof(Sample));
-  Span2d<const Sample> zview(zeros.data(), 12, 9, 12);
-  jp2k::T1Flags zflags(12, 9);
-  std::vector<std::uint32_t> zmag(12 * 9);
-  EXPECT_EQ(bk().t1_mag_sign(zview, zmag.data(), &zflags.at(0, 0),
-                             zflags.stride, jp2k::kFlagSign),
-            0u);
-  EXPECT_EQ(bk().block_maxmag(zview), 0u);
+  EXPECT_EQ(next, std::size(kCounterPins));
 }
 
 // --- The unpaddable column-group geometry, end to end -----------------------

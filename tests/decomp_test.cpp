@@ -274,14 +274,15 @@ TEST(CompletionChannel, PopsInCompletionOrderThenTerminates) {
   ch.push(0);
   ch.push(1);
   std::size_t idx = 99;
-  ASSERT_TRUE(ch.pop(idx));
+  ASSERT_TRUE(ch.try_pop(idx));
   EXPECT_EQ(idx, 2u);
-  ASSERT_TRUE(ch.pop(idx));
+  ASSERT_TRUE(ch.try_pop(idx));
   EXPECT_EQ(idx, 0u);
-  ASSERT_TRUE(ch.pop(idx));
+  ASSERT_TRUE(ch.try_pop(idx));
   EXPECT_EQ(idx, 1u);
-  EXPECT_FALSE(ch.pop(idx));
-  EXPECT_FALSE(ch.pop(idx));  // stays terminated
+  EXPECT_FALSE(ch.try_pop(idx));
+  EXPECT_FALSE(ch.try_pop(idx));  // stays drained
+  EXPECT_EQ(idx, 1u);             // and leaves the output untouched
 }
 
 TEST(CompletionChannel, DrainsEveryIndexAcrossProducerThreads) {
@@ -294,25 +295,22 @@ TEST(CompletionChannel, DrainsEveryIndexAcrossProducerThreads) {
       for (std::size_t i = p; i < kItems; i += kProducers) ch.push(i);
     });
   }
+  // The consumer polls, as the streamed Tier-2 stitch does.
   std::set<std::size_t> seen;
   std::size_t idx;
-  while (ch.pop(idx)) {
-    EXPECT_TRUE(seen.insert(idx).second) << "duplicate " << idx;
+  for (std::size_t popped = 0; popped < kItems;) {
+    if (ch.try_pop(idx)) {
+      EXPECT_TRUE(seen.insert(idx).second) << "duplicate " << idx;
+      ++popped;
+    } else {
+      std::this_thread::yield();
+    }
   }
   for (auto& t : producers) t.join();
+  EXPECT_FALSE(ch.try_pop(idx));
   EXPECT_EQ(seen.size(), kItems);
   EXPECT_EQ(*seen.begin(), 0u);
   EXPECT_EQ(*seen.rbegin(), kItems - 1);
-}
-
-TEST(CompletionChannel, ConsumerBlocksUntilProducerDelivers) {
-  CompletionChannel ch(1);
-  std::size_t idx = 99;
-  std::thread producer([&ch] { ch.push(7); });
-  ASSERT_TRUE(ch.pop(idx));  // blocks until the push lands
-  EXPECT_EQ(idx, 7u);
-  producer.join();
-  EXPECT_FALSE(ch.pop(idx));
 }
 
 }  // namespace

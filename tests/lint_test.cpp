@@ -198,6 +198,25 @@ TEST(LintRegions, LambdaTakingSpeContextIsARegion) {
   EXPECT_EQ(vs[0].rule, "spe-heap-alloc");
 }
 
+TEST(LintRegions, OpsPolicyHelperIsARegion) {
+  // The row kernels are written once over a vector-ops policy
+  // (backend/row_kernels.cpp); a helper taking the `Ops&` policy runs on
+  // the SPE in the Cell-model instantiation, so it is a region.  A type
+  // merely ending in "Ops" is not the policy.
+  const std::string src =
+      "template <class Ops, typename Body>\n"
+      "void row_loop(Ops& s, std::size_t n, Body&& body) {\n"
+      "  std::vector<float> bad;\n"
+      "}\n"
+      "void host(const HostOps& o) {\n"
+      "  std::vector<float> fine;\n"
+      "}\n";
+  const auto vs = lint_source("t.cpp", src, {});
+  ASSERT_EQ(vs.size(), 1u);
+  EXPECT_EQ(vs[0].rule, "spe-vector-growth");
+  EXPECT_EQ(vs[0].line, 3u);
+}
+
 TEST(LintRegions, RegionEndsAtClosingBrace) {
   const std::string src =
       "void kernel(cell::DmaEngine& dma) {\n"

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <utility>
 #include <vector>
 
+#include "common/aligned_buffer.hpp"
 #include "common/rng.hpp"
 #include "image/image.hpp"
 #include "jp2k/t1_decoder.hpp"
@@ -286,6 +289,53 @@ TEST(T1Options, ResetChangesStreamButNotMuch) {
   EXPECT_NE(reset.data, plain.data);
   EXPECT_GT(reset.data.size(), plain.data.size() * 9 / 10);
   EXPECT_LT(reset.data.size(), plain.data.size() * 11 / 10);
+}
+
+// --- Block prescan ---------------------------------------------------------
+
+// The host-SIMD prescan both block coders share, checked against the scalar
+// loop it replaces.  The coefficient plane is allocated exact-size (no
+// stride padding), so under ASan a vector lane past the block faults.
+TEST(T1Prescan, SimdMatchesScalarPrescan) {
+  Rng rng(113);
+  for (const auto& [w, h] : {std::pair<std::size_t, std::size_t>{1, 1},
+                            {7, 5},
+                            {24, 24},
+                            {33, 31},
+                            {64, 17}}) {
+    AlignedBuffer<Sample> coeffs(w * h, 16);
+    for (std::size_t i = 0; i < w * h; ++i) {
+      coeffs[i] = static_cast<Sample>(rng.next_below(2 * 65536 + 1)) - 65536;
+    }
+    Span2d<const Sample> view(coeffs.data(), w, h, w);
+
+    T1Flags flags(w, h);
+    std::vector<std::uint32_t> mag(w * h, 0xDEADBEEF);
+    const std::uint32_t maxmag = block_prescan(view, mag.data(), &flags);
+
+    std::uint32_t ref_max = 0;
+    for (std::size_t y = 0; y < h; ++y) {
+      for (std::size_t x = 0; x < w; ++x) {
+        const Sample v = view(y, x);
+        const auto m = static_cast<std::uint32_t>(v < 0 ? -v : v);
+        EXPECT_EQ(mag[y * w + x], m) << w << "x" << h;
+        EXPECT_EQ(flags.at(y, x), v < 0 ? kFlagSign : 0) << w << "x" << h;
+        if (m > ref_max) ref_max = m;
+      }
+    }
+    EXPECT_EQ(maxmag, ref_max) << w << "x" << h;
+    EXPECT_EQ(block_prescan(view), ref_max) << w << "x" << h;
+  }
+
+  // The all-zero block: both forms report zero and flag nothing.
+  AlignedBuffer<Sample> zeros(12 * 9, 16);
+  std::memset(zeros.data(), 0, 12 * 9 * sizeof(Sample));
+  Span2d<const Sample> zview(zeros.data(), 12, 9, 12);
+  T1Flags zflags(12, 9);
+  std::vector<std::uint32_t> zmag(12 * 9);
+  EXPECT_EQ(block_prescan(zview, zmag.data(), &zflags), 0u);
+  EXPECT_EQ(block_prescan(zview), 0u);
+  for (const std::uint16_t f : zflags.cells) EXPECT_EQ(f, 0u);
 }
 
 }  // namespace

@@ -14,7 +14,9 @@ namespace {
 
 /// A parameter list containing one of these reference types marks the
 /// function/lambda as SPE-resident (the repo's kernel calling convention).
-const std::regex kSpeMarker(R"((SpeContext|Simd|DmaEngine)\s*&)");
+/// `Ops&` is the vector-ops policy parameter of the row-kernel helpers
+/// written once for both the Cell-model and native instantiations.
+const std::regex kSpeMarker(R"((SpeContext|Simd|DmaEngine|\bOps)\s*&)");
 
 /// DMA transfer calls carrying a size-in-bytes/elements argument.  The
 /// asynchronous engine calls and the tagged row helpers take the tag
