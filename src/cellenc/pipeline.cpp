@@ -328,6 +328,7 @@ TileFrontResult encode_tile_front(cell::Machine& machine, const Image& img,
   res.t1_symbols = t1.total_symbols;
   res.hull_extra_seconds = t1.hull_extra_seconds;
   res.hull_serial_seconds = t1.hull_serial_seconds;
+  res.unfused_t1_seconds = t1.unfused_seconds;
   return res;
 }
 
@@ -353,12 +354,11 @@ PipelineResult CellEncoder::encode(const Image& img,
   // HT never takes the lossy tail: no truncation points means no PCRD rate
   // stage at all (the stage_rate fast path promised by the HT backend).
   const bool lossy_tail = jp2k::uses_pcrd_rate_control(params);
-  const bool distribute_tail = lossy_tail && opt.parallel_lossy_tail;
   HullCapture hulls;
   hulls.wavelet = params.wavelet;
 
   TileFrontResult front = encode_tile_front(
-      machine_, img, params, opt, distribute_tail ? &hulls : nullptr);
+      machine_, img, params, opt, lossy_tail ? &hulls : nullptr);
   jp2k::Tile& tile = front.tile;
   res.stages = std::move(front.stages);
   const std::size_t front_count = res.stages.size();
@@ -366,15 +366,13 @@ PipelineResult CellEncoder::encode(const Image& img,
   res.hull_extra_seconds = front.hull_extra_seconds;
   res.hull_serial_seconds = front.hull_serial_seconds;
 
-  if (distribute_tail) {
+  if (lossy_tail) {
     // --- Distributed lossy tail: k-way slope merge + serial greedy scan +
-    // precinct-parallel Tier-2 (byte-identical to jp2k::finish_tile).
-    // With overlap_lossy_tail the serial residue is pipelined against the
-    // parallel work (released sizing, streaming stitch). --------------------
-    RateTailOptions tail_opts;
-    tail_opts.overlap = opt.overlap_lossy_tail;
+    // precinct-parallel Tier-2 (byte-identical to jp2k::finish_tile), with
+    // the serial residue pipelined against the parallel work (released
+    // sizing, streaming stitch). ---------------------------------------------
     LossyTailResult tail =
-        stage_rate_tail(machine_, tile, img, params, hulls, tail_opts);
+        stage_rate_tail(machine_, tile, img, params, hulls);
     res.codestream = std::move(tail.codestream);
     res.stages.push_back(tail.rate_timing);
     res.stages.push_back(tail.t2_timing);
@@ -382,40 +380,24 @@ PipelineResult CellEncoder::encode(const Image& img,
     res.serial_t2_seconds = tail.serial_t2_seconds;
     res.rate_stats = std::move(tail.stats);
   } else {
-    // --- Serial baseline tail (the paper's configuration): rate control +
-    // Tier-2 + framing via the shared serial implementation; simulated PPE
-    // time is charged from the work quantities it reports. -------------------
-    jp2k::EncodeStats fstats;
-    res.codestream = jp2k::finish_tile(tile, img, params, &fstats);
-
-    cell::TraceRecorder* rec = machine_.trace();
-    auto serial_stage = [&](cell::StageTiming& t, const char* span) {
-      t.seconds = t.ppe;
-      t.stall.ppe_serial = t.seconds;  // The whole stage is PPE-serial.
-      if (rec != nullptr && t.seconds > 0) {
-        const double t0 = rec->clock();
-        rec->emit_span(rec->ppe_track(0), span, "ppe", t0, t.seconds);
-        rec->emit_span(rec->driver_track(), t.name.c_str(), "stage", t0,
-                       t.seconds);
-        rec->advance_clock(t.seconds);
-      }
-    };
-
-    if (lossy_tail) {
-      cell::StageTiming rate_t;
-      rate_t.name = "rate";
-      rate_t.ppe = static_cast<double>(fstats.rate.passes_considered) *
-                   cp.ppe_rate_cycles_per_pass / cp.clock_hz;
-      serial_stage(rate_t, "rate (ppe serial)");
-      res.stages.push_back(rate_t);
-      res.serial_rate_seconds = rate_t.seconds;
-    }
+    // --- Lossless / HT tail: Tier-2 + framing via the shared serial
+    // implementation; simulated PPE time is charged per emitted byte. -------
+    res.codestream = jp2k::finish_tile(tile, img, params);
 
     cell::StageTiming t2_t;
     t2_t.name = "t2";
     t2_t.ppe = static_cast<double>(res.codestream.size()) *
                cp.ppe_t2_cycles_per_byte / cp.clock_hz;
-    serial_stage(t2_t, "t2 (ppe serial)");
+    t2_t.seconds = t2_t.ppe;
+    t2_t.stall.ppe_serial = t2_t.seconds;  // The whole stage is PPE-serial.
+    if (cell::TraceRecorder* rec = machine_.trace();
+        rec != nullptr && t2_t.seconds > 0) {
+      const double t0 = rec->clock();
+      rec->emit_span(rec->ppe_track(0), "t2 (ppe serial)", "ppe", t0,
+                     t2_t.seconds);
+      rec->emit_span(rec->driver_track(), "t2", "stage", t0, t2_t.seconds);
+      rec->advance_clock(t2_t.seconds);
+    }
     res.stages.push_back(t2_t);
     res.serial_t2_seconds = t2_t.seconds;
   }
@@ -425,6 +407,17 @@ PipelineResult CellEncoder::encode(const Image& img,
     res.overlap_saved_seconds += s.overlap_saved;
     res.dma_overlap_saved_seconds += s.dma_overlap_saved;
     res.dma_bytes += s.dma_bytes;
+  }
+  // The paper's serial-tail baseline: the same stage sum, with Tier-1
+  // unfused from the hull builds and the tail charged serially on the PPE.
+  if (lossy_tail) {
+    for (std::size_t i = 0; i < front_count; ++i) {
+      res.serial_tail_seconds += res.stages[i].name == "tier1"
+                                     ? front.unfused_t1_seconds
+                                     : res.stages[i].seconds;
+    }
+    res.serial_tail_seconds += res.serial_rate_seconds;
+    res.serial_tail_seconds += res.serial_t2_seconds;
   }
 
   // Service view (DESIGN.md §12): collapse the run into one {pool, serial}

@@ -28,17 +28,6 @@ namespace cj2k::cellenc {
 struct PipelineOptions {
   DwtOptions dwt;
   T1Distribution t1_dist = T1Distribution::kWorkQueue;
-  /// Distribute the lossy tail (overlapped hull build + k-way slope merge +
-  /// precinct-parallel Tier-2, DESIGN.md §5).  Off reproduces the paper's
-  /// serial-PPE rate/T2 baseline (Fig. 5's ~60% share at 16 SPEs).
-  bool parallel_lossy_tail = true;
-  /// Overlap the distributed tail's serial residue with its parallel work
-  /// (released-sizing λ-scan overlap, streaming Tier-2 stitch, final-parts
-  /// reuse — DESIGN.md §5).  Off keeps the phase-ordered accounting of the
-  /// distributed tail (the serial-baseline toggle for A/B benches); the
-  /// codestream is byte-identical either way.  Ignored when
-  /// parallel_lossy_tail is false.
-  bool overlap_lossy_tail = true;
   /// Cell-invariant audit (cellcheck tier 2, DESIGN.md §6): per-stage DMA
   /// and Local Store ledger in PipelineResult::audit; strict mode fails the
   /// encode (AuditError) on the first inefficient transfer or LS
@@ -76,15 +65,24 @@ struct PipelineResult {
   std::uint64_t t1_symbols = 0;
   std::uint64_t dma_bytes = 0;
 
-  /// Distributed-tail accounting (zero on lossless / serial-tail runs):
-  /// hull work absorbed into T1 (span growth vs. its serial-PPE cost)…
+  /// Lossy-tail accounting (zero on lossless / HT runs, which run no PCRD
+  /// tail): hull work absorbed into T1 (span growth vs. its serial-PPE
+  /// cost)…
   double hull_extra_seconds = 0;
   double hull_serial_seconds = 0;
-  /// …and what the serial baseline would have charged for rate / Tier-2.
+  /// …and what the paper's serial PPE tail would have charged for rate /
+  /// Tier-2.
   double serial_rate_seconds = 0;
   double serial_t2_seconds = 0;
+  /// The paper's serial-tail baseline (Fig. 5) for the same encode: the
+  /// front with Tier-1 unfused from the hull builds (no capture), then
+  /// serial_rate_seconds and serial_t2_seconds on the PPE.  Tiled runs
+  /// replay the tile schedule with each tile's unfused Tier-1.  Zero when
+  /// no PCRD tail runs.
+  double serial_tail_seconds = 0;
   /// Seconds the overlapped tail hid versus its phase-ordered accounting
-  /// (sum of StageTiming::overlap_saved; zero with overlap_lossy_tail off).
+  /// (sum of StageTiming::overlap_saved), so the phase-ordered baseline is
+  /// simulated_seconds + overlap_saved_seconds.
   double overlap_saved_seconds = 0;
   /// Seconds the tag-grouped double-buffered DMA hid versus fully
   /// synchronous transfers (sum of StageTiming::dma_overlap_saved).
@@ -149,6 +147,9 @@ struct TileFrontResult {
   std::uint64_t t1_symbols = 0;
   double hull_extra_seconds = 0;
   double hull_serial_seconds = 0;
+  /// Tier-1 seconds without the hull capture (T1StageResult::
+  /// unfused_seconds) — the serial-tail baseline's tier1 stage.
+  double unfused_t1_seconds = 0;
 };
 
 /// Runs the front of the pipeline for one (tile-sized) image on the given

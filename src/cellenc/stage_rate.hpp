@@ -27,10 +27,12 @@
 //     precinct packets in progression order while the pool still codes
 //     later precincts;
 //   * when a rate target drove the allocation, the last sizing pass already
-//     coded the final selection, so its precinct streams are reused verbatim
-//     (the phase-ordered tail recodes them).
-// RateTailOptions::overlap toggles between the overlapped model and the
-// phase-ordered PR-3 accounting; the output bytes are identical either way.
+//     coded the final selection, so its precinct streams are reused verbatim.
+// Each stage also reports what that pipelining hid (StageTiming::
+// overlap_saved: the phase-ordered accounting, where every phase waits for
+// the previous one, minus the overlapped seconds), and the result carries
+// the paper's serial-PPE charges for the same work, so both baselines of
+// the Fig. 5 comparison derive from this one run.
 //
 // The stage reuses jp2k's rate_control_*_presorted and t2_encode_precincts
 // directly, so the codestream is byte-identical to jp2k::encode.
@@ -47,15 +49,6 @@
 #include "jp2k/tile_grid.hpp"
 
 namespace cj2k::cellenc {
-
-/// Knobs for the distributed lossy tail.
-struct RateTailOptions {
-  /// Overlap the serial residue with the parallel work: released-sizing
-  /// scan overlap, streaming stitch, final-parts reuse.  When false the
-  /// stage runs (and charges) the phase-ordered serial-baseline tail;
-  /// the emitted bytes are identical either way.
-  bool overlap = true;
-};
 
 struct LossyTailResult {
   std::vector<std::uint8_t> codestream;
@@ -75,8 +68,7 @@ struct LossyTailResult {
 LossyTailResult stage_rate_tail(cell::Machine& m, jp2k::Tile& tile,
                                 const Image& img,
                                 const jp2k::CodingParams& params,
-                                HullCapture& hulls,
-                                const RateTailOptions& opts = {});
+                                HullCapture& hulls);
 
 /// Multi-tile form: one global λ over the whole tile set (the worker lists
 /// in `hulls` carry segments from every tile, ordinals offset per tile), a
@@ -87,7 +79,6 @@ LossyTailResult stage_rate_tail_tiles(cell::Machine& m,
                                       const std::vector<jp2k::Tile*>& tiles,
                                       const Image& img,
                                       const jp2k::CodingParams& params,
-                                      HullCapture& hulls,
-                                      const RateTailOptions& opts = {});
+                                      HullCapture& hulls);
 
 }  // namespace cj2k::cellenc

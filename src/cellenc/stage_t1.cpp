@@ -142,6 +142,7 @@ T1StageResult stage_t1(cell::Machine& m, jp2k::Tile& tile,
                  + br.cb->enc.data.size();   // codeword out
   }
   res.total_blocks = blocks.size();
+  const std::uint64_t unfused_dma_bytes = dma_bytes;
   if (hulls) {
     // Pass records in, hull segments out of the Local Store.
     dma_bytes += total_passes * kPassRecordBytes +
@@ -157,6 +158,9 @@ T1StageResult stage_t1(cell::Machine& m, jp2k::Tile& tile,
       dist == T1Distribution::kWorkQueue ? queue_sched : static_sched;
   bool fused_tails = false;
   double chosen_makespan = chosen.makespan;
+  res.unfused_seconds =
+      std::max(chosen_makespan,
+               static_cast<double>(unfused_dma_bytes) / m.total_mem_bw());
   if (hulls) {
     auto fused =
         dist == T1Distribution::kWorkQueue

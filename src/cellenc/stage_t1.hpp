@@ -57,6 +57,10 @@ struct T1StageResult {
   /// …vs. what the same hull work costs appended serially on one PPE
   /// (the baseline the paper's serial rate stage pays).
   double hull_serial_seconds = 0;
+  /// What the stage would cost without the hull capture: the chosen
+  /// schedule's T1-only makespan, maxed with the DMA aggregate excluding
+  /// the hull bytes.  Equals timing.seconds when no HullCapture was given.
+  double unfused_seconds = 0;
 };
 
 /// Encodes every code block of every subband of the tile (coefficients are

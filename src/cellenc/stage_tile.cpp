@@ -33,19 +33,19 @@ std::size_t blocks_for_geometry(const jp2k::TileRect& r,
   return n * ncomp;
 }
 
-/// Converts a composed stage timing into a pipeline phase.  When the tile
+/// Converts a composed stage's seconds into a pipeline phase.  When the tile
 /// owns an SPE group, the whole composed stage time runs on that group: the
 /// compose rule already overlaps the stage's PPE assist with its SPE work
 /// (seconds = max of the two), and that assist is per-group bookkeeping, not
 /// a shared bottleneck.  Only explicitly appended phases (per-tile Tier-2)
 /// use the shared serial resource.  A PPE-only group (no SPEs) is all
 /// serial: there is genuinely one PPE doing everything.
-decomp::PipelinePhase to_phase(const cell::StageTiming& s, int group_spes) {
+decomp::PipelinePhase to_phase(double seconds, int group_spes) {
   decomp::PipelinePhase ph;
   if (group_spes > 0) {
-    ph.pool = s.seconds;
+    ph.pool = seconds;
   } else {
-    ph.serial = s.seconds;
+    ph.serial = seconds;
   }
   return ph;
 }
@@ -118,7 +118,6 @@ PipelineResult encode_tiled(cell::Machine& machine, const Image& img,
   // HT tiles never take a lossy tail (no truncation points → no PCRD);
   // they flow through the lossless-shaped per-tile Tier-2 pipeline below.
   const bool lossy_tail = jp2k::uses_pcrd_rate_control(params);
-  const bool distribute_tail = lossy_tail && opt.parallel_lossy_tail;
 
   // --- Hull ordinal bases: cumulative block counts in tile-index order
   // (the same bases jp2k::finish_tiles derives from the built tiles), so
@@ -143,7 +142,7 @@ PipelineResult encode_tiled(cell::Machine& machine, const Image& img,
     hulls[k].wavelet = params.wavelet;
     hulls[k].ordinal_base = bases[k];
     fronts[k] = encode_tile_front(gmachine, timg, params, opt,
-                                  distribute_tail ? &hulls[k] : nullptr);
+                                  lossy_tail ? &hulls[k] : nullptr);
     res.t1_symbols += fronts[k].t1_symbols;
     res.hull_extra_seconds += fronts[k].hull_extra_seconds;
     res.hull_serial_seconds += fronts[k].hull_serial_seconds;
@@ -168,7 +167,7 @@ PipelineResult encode_tiled(cell::Machine& machine, const Image& img,
   std::vector<std::vector<decomp::PipelinePhase>> items(ntiles);
   for (std::size_t j = 0; j < ntiles; ++j) {
     for (const auto& s : fronts[order[j]].stages) {
-      items[j].push_back(to_phase(s, gp.spes_per_group));
+      items[j].push_back(to_phase(s.seconds, gp.spes_per_group));
     }
   }
 
@@ -189,7 +188,7 @@ PipelineResult encode_tiled(cell::Machine& machine, const Image& img,
                     0.0, ps.makespan, args);
   };
 
-  if (distribute_tail) {
+  if (lossy_tail) {
     // --- Distributed lossy tail over the FULL pool: the fronts' waves are
     // a barrier (the global slope merge needs every tile's segments), then
     // one merge + scan + precinct-parallel Tier-2 across all tiles.
@@ -215,10 +214,8 @@ PipelineResult encode_tiled(cell::Machine& machine, const Image& img,
     std::vector<jp2k::Tile*> ptrs;
     ptrs.reserve(ntiles);
     for (auto& f : fronts) ptrs.push_back(&f.tile);
-    RateTailOptions tail_opts;
-    tail_opts.overlap = opt.overlap_lossy_tail;
-    LossyTailResult tail = stage_rate_tail_tiles(machine, grid, ptrs, img,
-                                                 params, merged, tail_opts);
+    LossyTailResult tail =
+        stage_rate_tail_tiles(machine, grid, ptrs, img, params, merged);
     res.codestream = std::move(tail.codestream);
     res.stages.push_back(tail.rate_timing);
     res.stages.push_back(tail.t2_timing);
@@ -230,49 +227,18 @@ PipelineResult encode_tiled(cell::Machine& machine, const Image& img,
     // The distributed tail occupies the full pool (merge + scan +
     // precinct-parallel Tier-2): a pool-side barrier phase for the service.
     res.tail_phase.pool = tail.rate_timing.seconds + tail.t2_timing.seconds;
-  } else if (lossy_tail) {
-    // --- Serial baseline tail after the front barrier: cross-tile rate
-    // allocation + per-tile Tier-2 on the PPE, charged from its reported
-    // work quantities (mirrors the single-tile serial baseline).
-    const auto front_sched = decomp::schedule_pipeline(items, gp.groups);
-    const double front_makespan = front_sched.makespan;
-    emit_waves(front_sched);
 
-    std::vector<jp2k::Tile> tiles;
-    tiles.reserve(ntiles);
-    for (auto& f : fronts) tiles.push_back(std::move(f.tile));
-    jp2k::EncodeStats fstats;
-    res.codestream = jp2k::finish_tiles(tiles, grid, img, params, &fstats);
-
-    auto serial_stage = [&](cell::StageTiming& t, const char* span) {
-      t.seconds = t.ppe;
-      t.stall.ppe_serial = t.seconds;
-      if (trec && t.seconds > 0) {
-        const double t0 = trec->clock();
-        trec->emit_span(trec->ppe_track(0), span, "ppe", t0, t.seconds);
-        trec->emit_span(trec->driver_track(), t.name.c_str(), "stage", t0,
-                        t.seconds);
-        trec->advance_clock(t.seconds);
-      }
-    };
-
-    cell::StageTiming rate_t;
-    rate_t.name = "rate";
-    rate_t.ppe = static_cast<double>(fstats.rate.passes_considered) *
-                 cp.ppe_rate_cycles_per_pass / hz;
-    serial_stage(rate_t, "rate (ppe serial)");
-    res.stages.push_back(rate_t);
-    res.serial_rate_seconds = rate_t.seconds;
-
-    cell::StageTiming t2_t;
-    t2_t.name = "t2";
-    t2_t.ppe = static_cast<double>(res.codestream.size()) *
-               cp.ppe_t2_cycles_per_byte / hz;
-    serial_stage(t2_t, "t2 (ppe serial)");
-    res.stages.push_back(t2_t);
-    res.serial_t2_seconds = t2_t.seconds;
-
-    res.simulated_seconds = front_makespan + rate_t.seconds + t2_t.seconds;
+    // The paper's serial-tail baseline: the same tile schedule with each
+    // tile's Tier-1 unfused from its hull builds (Tier-1 is the last front
+    // stage), then rate allocation and Tier-2 serially on the PPE.
+    std::vector<std::vector<decomp::PipelinePhase>> unfused = items;
+    for (std::size_t j = 0; j < ntiles; ++j) {
+      unfused[j].back() =
+          to_phase(fronts[order[j]].unfused_t1_seconds, gp.spes_per_group);
+    }
+    res.serial_tail_seconds =
+        decomp::schedule_pipeline(unfused, gp.groups).makespan +
+        res.serial_rate_seconds + res.serial_t2_seconds;
   } else {
     // --- Lossless tail: each tile's Tier-2 is an independent serial PPE
     // slot appended to that tile's phase list, so it pipelines under later
@@ -319,8 +285,8 @@ PipelineResult encode_tiled(cell::Machine& machine, const Image& img,
   // Service view (DESIGN.md §12): per-tile {pool, serial} items in
   // tile-index order (the lossless branch already appended each tile's
   // serial Tier-2 phase above).  Lossy runs additionally carry the
-  // cross-tile rate/Tier-2 tail as the barrier phase — pool-side for the
-  // distributed tail (set in its branch above), serial for the baseline.
+  // cross-tile rate/Tier-2 tail as the pool-side barrier phase set in
+  // their branch above.
   res.tile_items.assign(ntiles, decomp::PipelinePhase{});
   for (std::size_t j = 0; j < ntiles; ++j) {
     decomp::PipelinePhase it;
@@ -329,9 +295,6 @@ PipelineResult encode_tiled(cell::Machine& machine, const Image& img,
       it.serial += ph.serial;
     }
     res.tile_items[order[j]] = it;
-  }
-  if (lossy_tail && !distribute_tail) {
-    res.tail_phase.serial = res.serial_rate_seconds + res.serial_t2_seconds;
   }
 
   for (const auto& s : res.stages) {

@@ -76,6 +76,7 @@ Image read(const std::string& path) {
 
   in.seekg(static_cast<std::streamoff>(data_offset), std::ios::beg);
   const std::size_t row_bytes = round_up(w * 3, 4);
+  require_pixel_bytes(in, row_bytes, 1, height, path);
   std::vector<unsigned char> row(row_bytes);
 
   Image img(w, height, 3, 8);

@@ -1,5 +1,7 @@
 #include "image/image.hpp"
 
+#include <istream>
+
 #include "common/error.hpp"
 
 namespace cj2k {
@@ -24,6 +26,23 @@ Image::Image(std::size_t width, std::size_t height, std::size_t components,
   planes_.reserve(components);
   for (std::size_t c = 0; c < components; ++c) {
     planes_.emplace_back(width, height);
+  }
+}
+
+void require_pixel_bytes(std::istream& in, std::size_t row_elems,
+                         std::size_t elem_bytes, std::size_t rows,
+                         const std::string& path) {
+  if (rows == 0 || row_elems == 0) return;  // The Image rejects these.
+  const std::istream::pos_type here = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::istream::pos_type end = in.tellg();
+  in.seekg(here);
+  const std::uint64_t left =
+      here >= 0 && end > here ? static_cast<std::uint64_t>(end - here) : 0;
+  // row_elems * elem_bytes * rows > left, without forming the product.
+  if (row_elems > left / elem_bytes ||
+      rows > left / (row_elems * elem_bytes)) {
+    throw IoError("pixel data shorter than the declared geometry: " + path);
   }
 }
 

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -91,5 +92,13 @@ class Image {
   unsigned bit_depth_ = 8;
   std::vector<Plane> planes_;
 };
+
+/// For the image-file readers: throws IoError unless `rows` rows of
+/// `row_elems` elements of `elem_bytes` bytes each remain between the read
+/// position of `in` and its end.  Called before the Image is allocated, so
+/// a tiny file that declares a huge geometry fails without allocating it.
+void require_pixel_bytes(std::istream& in, std::size_t row_elems,
+                         std::size_t elem_bytes, std::size_t rows,
+                         const std::string& path);
 
 }  // namespace cj2k

@@ -55,9 +55,10 @@ Image read(const std::string& path) {
     throw IoError("unsupported PGX geometry: " + path);
   }
 
-  Image img(w, h, 1, depth);
   const bool big = endian == "ML";
   const std::size_t bytes = depth > 8 ? 2 : 1;
+  require_pixel_bytes(in, w, bytes, h, path);
+  Image img(w, h, 1, depth);
   std::vector<unsigned char> row(w * bytes);
   for (std::size_t y = 0; y < h; ++y) {
     in.read(reinterpret_cast<char*>(row.data()),

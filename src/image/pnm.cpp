@@ -53,6 +53,7 @@ Image read(const std::string& path) {
     throw IoError("only 8-bit PNM is supported: " + path);
   }
 
+  require_pixel_bytes(in, w, components, h, path);
   Image img(w, h, components, 8);
   std::vector<unsigned char> row(w * components);
   for (std::size_t y = 0; y < h; ++y) {

@@ -60,6 +60,56 @@ TEST(Bmp, RejectsGarbage) {
   EXPECT_THROW(bmp::read("/nonexistent/nowhere.bmp"), IoError);
 }
 
+// Tiny files that declare a huge geometry (30000x30000 would allocate
+// ~11 GB of planes) must be rejected from the file size, before the Image
+// is allocated — not fail later on a short read.
+void write_file(const std::string& path, const std::string& bytes) {
+  FILE* f = fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  fwrite(bytes.data(), 1, bytes.size(), f);
+  fclose(f);
+}
+
+template <class Reader>
+void expect_geometry_rejected(const std::string& path, Reader read) {
+  try {
+    read(path);
+    ADD_FAILURE() << "reader accepted " << path;
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "pixel data shorter than the declared geometry"),
+              std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Bmp, HugeDeclaredGeometryFailsBeforeAllocating) {
+  std::string hdr(54, '\0');
+  const auto le32 = [&](std::size_t at, std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) {
+      hdr[at + static_cast<std::size_t>(i)] = static_cast<char>(v >> (8 * i));
+    }
+  };
+  hdr[0] = 'B';
+  hdr[1] = 'M';
+  le32(10, 54);     // pixel data offset
+  le32(14, 40);     // BITMAPINFOHEADER
+  le32(18, 30000);  // width
+  le32(22, 30000);  // height
+  hdr[26] = 1;      // planes
+  hdr[28] = 24;     // bits per pixel
+  const auto path = temp_path("cj2k_huge.bmp");
+  write_file(path, hdr);
+  expect_geometry_rejected(path, [](const std::string& p) { bmp::read(p); });
+}
+
+TEST(Pnm, HugeDeclaredGeometryFailsBeforeAllocating) {
+  const auto path = temp_path("cj2k_huge.ppm");
+  write_file(path, "P6\n30000 30000\n255\n\x01\x02\x03");
+  expect_geometry_rejected(path, [](const std::string& p) { pnm::read(p); });
+}
+
 TEST(Pnm, GreyAndColorRoundtrip) {
   const auto path = temp_path("cj2k_test.pnm");
   Image grey = synth::noise(31, 22, 1, 8);
@@ -180,6 +230,12 @@ TEST(Pgx, EightAndSixteenBitRoundtrip) {
   EXPECT_EQ(back.bit_depth(), 12u);
   EXPECT_TRUE(metrics::identical(g12, back));
   std::remove(path.c_str());
+}
+
+TEST(Pgx, HugeDeclaredGeometryFailsBeforeAllocating) {
+  const auto path = temp_path("cj2k_huge.pgx");
+  write_file(path, "PG ML +16 30000 30000\n\x01\x02");
+  expect_geometry_rejected(path, [](const std::string& p) { pgx::read(p); });
 }
 
 TEST(Pgx, RejectsBadInput) {

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 #include <tuple>
 
 #include "cellenc/pipeline.hpp"
@@ -339,18 +340,13 @@ TEST(ParallelRate, RandomizedDifferentialOverRandomGeometries) {
     const auto serial = jp2k::encode(img, p);
     const int spes = spe_choices[rng.next_below(4)];
     const int ppes = static_cast<int>(rng.next_below(3));
-    for (const bool overlap : {true, false}) {
-      cellenc::CellEncoder enc(config(spes, ppes));
-      cellenc::PipelineOptions opt;
-      opt.overlap_lossy_tail = overlap;
-      const auto res = enc.encode(img, p, opt);
-      EXPECT_EQ(res.codestream, serial)
-          << "trial=" << trial << " " << w << "x" << h << " spes=" << spes
-          << " ppes=" << ppes << " layers=" << p.layers
-          << " rate=" << p.rate << " tiles=" << p.tiles_x << "x" << p.tiles_y
-          << " overlap=" << overlap << " coder="
-          << (p.block_coder == jp2k::BlockCoder::kHt ? "ht" : "ebcot");
-    }
+    cellenc::CellEncoder enc(config(spes, ppes));
+    const auto res = enc.encode(img, p);
+    EXPECT_EQ(res.codestream, serial)
+        << "trial=" << trial << " " << w << "x" << h << " spes=" << spes
+        << " ppes=" << ppes << " layers=" << p.layers << " rate=" << p.rate
+        << " tiles=" << p.tiles_x << "x" << p.tiles_y << " coder="
+        << (p.block_coder == jp2k::BlockCoder::kHt ? "ht" : "ebcot");
   }
 }
 
@@ -362,28 +358,25 @@ TEST(ParallelRate, OverlapReducesSimulatedTailTime) {
   p.wavelet = jp2k::WaveletKind::kIrreversible97;
   p.rate = 0.2;
 
-  cellenc::PipelineOptions on;
-  cellenc::PipelineOptions off;
-  off.overlap_lossy_tail = false;
+  cellenc::CellEncoder enc(config(16, 2));
+  const auto res = enc.encode(img, p);
 
-  cellenc::CellEncoder enc_on(config(16, 2));
-  cellenc::CellEncoder enc_off(config(16, 2));
-  const auto res_on = enc_on.encode(img, p, on);
-  const auto res_off = enc_off.encode(img, p, off);
-
-  // Same bytes, less simulated tail time, and the ledger says why.
-  EXPECT_EQ(res_on.codestream, res_off.codestream);
-  EXPECT_GT(res_on.overlap_saved_seconds, 0.0);
-  EXPECT_DOUBLE_EQ(res_off.overlap_saved_seconds, 0.0);
-  EXPECT_LE(res_on.stage_seconds("rate"), res_off.stage_seconds("rate"));
-  EXPECT_LT(res_on.stage_seconds("t2"), res_off.stage_seconds("t2"));
-  const double tail_on =
-      res_on.stage_seconds("rate") + res_on.stage_seconds("t2");
-  const double tail_off =
-      res_off.stage_seconds("rate") + res_off.stage_seconds("t2");
-  EXPECT_NEAR(tail_off - tail_on, res_on.overlap_saved_seconds,
-              1e-12 + tail_off * 1e-9);
-  EXPECT_GT(res_on.rate_stats.iterations, 0);
+  // The ledger says how much of the phase-ordered tail the overlap hid:
+  // each tail stage costs at most its phase-ordered seconds, and the
+  // per-stage credits sum to the run's total.
+  EXPECT_GT(res.overlap_saved_seconds, 0.0);
+  double saved = 0.0;
+  for (const auto& s : res.stages) {
+    if (s.name == "rate" || s.name == "t2") {
+      EXPECT_LE(s.seconds, s.seconds + s.overlap_saved) << s.name;
+    }
+    if (s.name == "t2") {
+      EXPECT_GT(s.overlap_saved, 0.0);
+    }
+    saved += s.overlap_saved;
+  }
+  EXPECT_DOUBLE_EQ(saved, res.overlap_saved_seconds);
+  EXPECT_GT(res.rate_stats.iterations, 0);
 }
 
 // --- Refinement-iteration sizing cost (regression: charged per iteration) --
@@ -399,9 +392,7 @@ TEST(ParallelRate, SizingCostIsChargedWithPerIterationSizes) {
   // over that iteration's part bytes, so the charge is hand-computable from
   // the scan ledger.
   cellenc::CellEncoder enc(config(1, 0));
-  cellenc::PipelineOptions opt;
-  opt.overlap_lossy_tail = false;  // phase-ordered accounting
-  const auto res = enc.encode(img, p, opt);
+  const auto res = enc.encode(img, p);
 
   const auto& scan = res.rate_stats.scan_iterations;
   ASSERT_EQ(static_cast<int>(scan.size()), res.rate_stats.iterations);
@@ -437,7 +428,11 @@ TEST(ParallelRate, SizingCostIsChargedWithPerIterationSizes) {
   ASSERT_NE(rate, nullptr);
   EXPECT_NEAR(rate->spe_compute, expected_spe, expected_spe * 1e-9);
   EXPECT_NEAR(rate->ppe, expected_ppe, expected_ppe * 1e-9);
-  EXPECT_DOUBLE_EQ(rate->seconds, rate->ppe + rate->spe_compute);
+  // Phase-ordered, the stage is the merge/scan followed by the sizing
+  // passes; the overlapped stage hides the difference.
+  EXPECT_NEAR(rate->seconds + rate->overlap_saved,
+              rate->ppe + rate->spe_compute,
+              (rate->ppe + rate->spe_compute) * 1e-12);
 }
 
 TEST(ParallelRate, HullConstructionHidesUnderTier1) {
@@ -454,6 +449,77 @@ TEST(ParallelRate, HullConstructionHidesUnderTier1) {
     EXPECT_GT(res.hull_serial_seconds, 0.0) << spes;
     EXPECT_LT(res.hull_extra_seconds, res.hull_serial_seconds * 0.5) << spes;
   }
+}
+
+// --- Fig. 5 baselines derived from the one overlapped run ------------------
+
+// The paper's serial PPE tail and the phase-ordered distributed tail were
+// once separate execution modes; every PCRD run now reports both as
+// numbers (serial_tail_seconds, simulated + overlap_saved seconds).  The
+// table pins the simulated_seconds those modes produced (printed with
+// %.17g): the serial tail must match bit for bit, the phase-ordered tail
+// to rounding (its stage sums associate differently).
+TEST(LossyTail, DerivedBaselinesMatchRemovedModes) {
+  struct Row {
+    int spes, ppes, chips, tiles_x, tiles_y, layers;
+    double rate;
+    double serial_tail;
+    double phase_ordered;
+  };
+  // Single tile: 256x256, 5 levels, rate 0.1 single-layer (final parts
+  // reused) and a rate-0 3-layer ladder (final parts recoded).  Tiled:
+  // 256x192, 3 levels.
+  const Row rows[] = {
+      {0, 1, 1, 1, 1, 1, 0.1, 0.043660808312499993, 0.0364697805},
+      {1, 0, 1, 1, 1, 1, 0.1, 0.065526284874999979, 0.059025025812500007},
+      {8, 0, 1, 1, 1, 1, 0.1, 0.015450578125000001, 0.0084863440624999998},
+      {8, 1, 1, 1, 1, 1, 0.1, 0.014324171875, 0.0073556628125000002},
+      {16, 2, 2, 1, 1, 1, 0.1, 0.011466098124999999, 0.0044873921874999997},
+      {1, 1, 1, 1, 1, 1, 0.1, 0.029870675500000003, 0.0230129351875},
+      {0, 1, 1, 1, 1, 3, 0.0, 0.045168695812499993, 0.039713726124999987},
+      {1, 0, 1, 1, 1, 3, 0.0, 0.067034172374999978, 0.066415662062500005},
+      {8, 0, 1, 1, 1, 3, 0.0, 0.016958465625000002, 0.0110806678125},
+      {8, 1, 1, 1, 1, 3, 0.0, 0.015832059374999999, 0.0099499865625000006},
+      {16, 2, 2, 1, 1, 3, 0.0, 0.012973985625, 0.0070817159375000001},
+      {1, 1, 1, 1, 1, 3, 0.0, 0.031378562999999998, 0.025692699562500001},
+      {16, 2, 2, 2, 2, 1, 0.25, 0.016197508125000003, 0.004018141250000001},
+      {8, 1, 1, 3, 2, 3, 0.5, 0.026071623249999999, 0.0079390301249999996},
+  };
+  double share_1p1 = 0.0;
+  double share_16p2 = 0.0;
+  for (const Row& r : rows) {
+    const bool tiled = r.tiles_x * r.tiles_y > 1;
+    const Image img = tiled ? synth::photographic(256, 192, 3, 62)
+                            : synth::photographic(256, 256, 3, 61);
+    jp2k::CodingParams p;
+    p.wavelet = jp2k::WaveletKind::kIrreversible97;
+    p.levels = tiled ? 3 : 5;
+    p.rate = r.rate;
+    p.layers = r.layers;
+    p.tiles_x = static_cast<std::size_t>(r.tiles_x);
+    p.tiles_y = static_cast<std::size_t>(r.tiles_y);
+    cellenc::CellEncoder enc(config(r.spes, r.ppes, r.chips));
+    const auto res = enc.encode(img, p);
+    const std::string where =
+        std::to_string(r.spes) + "+" + std::to_string(r.ppes) + " " +
+        std::to_string(r.tiles_x) + "x" + std::to_string(r.tiles_y) +
+        " layers=" + std::to_string(r.layers);
+    EXPECT_EQ(res.serial_tail_seconds, r.serial_tail) << where;
+    EXPECT_NEAR(res.simulated_seconds + res.overlap_saved_seconds,
+                r.phase_ordered, r.phase_ordered * 1e-12)
+        << where;
+
+    const double share = (res.serial_rate_seconds + res.serial_t2_seconds) /
+                         res.serial_tail_seconds;
+    if (!tiled && r.layers == 1 && r.spes == 1 && r.ppes == 1) {
+      share_1p1 = share;
+    }
+    if (!tiled && r.layers == 1 && r.spes == 16) share_16p2 = share;
+  }
+  // The paper's Fig. 5 shape: the serial rate + Tier-2 tail dominates at
+  // scale (~60% at 16 SPE + 2 PPE) and grows with the SPE count.
+  EXPECT_GT(share_16p2, 0.3);
+  EXPECT_LT(share_1p1, share_16p2);
 }
 
 }  // namespace

@@ -349,11 +349,6 @@ TEST(TiledPipeline, LossyMatchesSerialEncoderBitExactly) {
     const auto res = enc.encode(img, p);
     EXPECT_EQ(res.codestream, serial) << spes << " SPEs";
   }
-  // The serial (non-distributed) tail must agree too.
-  PipelineOptions opt;
-  opt.parallel_lossy_tail = false;
-  CellEncoder enc(config(8, 1));
-  EXPECT_EQ(enc.encode(img, p, opt).codestream, serial);
 }
 
 TEST(TiledPipeline, LayeredMatchesSerialEncoderBitExactly) {

@@ -162,41 +162,22 @@ TEST(Trace, EveryDmaIssueGroupFlowIsRetiredExactlyOnce) {
 TEST(Trace, StallComponentsSumToStageSecondsAndSimulatedTotal) {
   const Image img = synth::photographic(160, 128, 3, 82);
   for (int spes : {1, 4, 8}) {
-    for (bool overlap : {false, true}) {
-      cellenc::PipelineOptions opt;
-      opt.overlap_lossy_tail = overlap;
-      cellenc::CellEncoder enc(config(spes));
-      const auto res = enc.encode(img, lossy_params(), opt);
-      double total = 0.0;
-      for (const auto& s : res.stages) {
-        EXPECT_NEAR(s.stall.sum(), s.seconds,
-                    1e-12 * std::max(1.0, s.seconds))
-            << s.name << " spes=" << spes << " overlap=" << overlap;
-        EXPECT_GE(s.stall.busy, 0.0) << s.name;
-        EXPECT_GE(s.stall.dma_wait, 0.0) << s.name;
-        EXPECT_GE(s.stall.queue_empty, -1e-15) << s.name;
-        EXPECT_GE(s.stall.ppe_serial, 0.0) << s.name;
-        EXPECT_GE(s.stall.channel_stall, -1e-15) << s.name;
-        total += s.stall.sum();
-      }
-      // Single tile: stage seconds (hence their stalls) sum to the total.
-      EXPECT_NEAR(total, res.simulated_seconds,
-                  1e-9 * res.simulated_seconds);
+    cellenc::CellEncoder enc(config(spes));
+    const auto res = enc.encode(img, lossy_params());
+    double total = 0.0;
+    for (const auto& s : res.stages) {
+      EXPECT_NEAR(s.stall.sum(), s.seconds,
+                  1e-12 * std::max(1.0, s.seconds))
+          << s.name << " spes=" << spes;
+      EXPECT_GE(s.stall.busy, 0.0) << s.name;
+      EXPECT_GE(s.stall.dma_wait, 0.0) << s.name;
+      EXPECT_GE(s.stall.queue_empty, -1e-15) << s.name;
+      EXPECT_GE(s.stall.ppe_serial, 0.0) << s.name;
+      EXPECT_GE(s.stall.channel_stall, -1e-15) << s.name;
+      total += s.stall.sum();
     }
-  }
-}
-
-TEST(Trace, SerialBaselineTailIsAllPpeSerial) {
-  const Image img = synth::photographic(128, 96, 3, 83);
-  cellenc::PipelineOptions opt;
-  opt.parallel_lossy_tail = false;
-  cellenc::CellEncoder enc(config(4));
-  const auto res = enc.encode(img, lossy_params(), opt);
-  for (const auto& s : res.stages) {
-    if (s.name == "rate" || s.name == "t2") {
-      EXPECT_DOUBLE_EQ(s.stall.ppe_serial, s.seconds) << s.name;
-      EXPECT_DOUBLE_EQ(s.stall.busy, 0.0) << s.name;
-    }
+    // Single tile: stage seconds (hence their stalls) sum to the total.
+    EXPECT_NEAR(total, res.simulated_seconds, 1e-9 * res.simulated_seconds);
   }
 }
 
