@@ -3,6 +3,8 @@
 // 4x increase in PPE<->SPE interactions hurts scalability and uses 64x64.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+
 #include "bench_common.hpp"
 #include "jp2k/encoder.hpp"
 #include "jp2k/t1_encoder.hpp"
@@ -46,8 +48,12 @@ void run_ablation(const bench::Workload& wl) {
               " nothing in fit.\n");
 }
 
+// Host cost of one EBCOT block encode, per orientation (the ZC table
+// differs per band): items/s counts samples, ns_per_symbol divides the wall
+// time by the MQ decisions coded.
 void BM_T1Block(benchmark::State& state) {
   const auto cb = static_cast<std::size_t>(state.range(0));
+  const auto orient = static_cast<jp2k::SubbandOrient>(state.range(1));
   const Image img = synth::photographic(cb, cb, 1, 3);
   std::vector<Sample> block(cb * cb);
   for (std::size_t y = 0; y < cb; ++y) {
@@ -55,15 +61,27 @@ void BM_T1Block(benchmark::State& state) {
       block[y * cb + x] = img.plane(0).at(y, x) - 128;
     }
   }
+  std::uint64_t symbols = 0;
+  const auto t0 = std::chrono::steady_clock::now();
   for (auto _ : state) {
     auto enc = jp2k::t1_encode_block(
-        Span2d<const Sample>(block.data(), cb, cb), jp2k::SubbandOrient::LL);
+        Span2d<const Sample>(block.data(), cb, cb), orient);
     benchmark::DoNotOptimize(enc.data.data());
+    symbols = enc.total_symbols;
   }
+  const double ns = std::chrono::duration<double, std::nano>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(cb * cb));
+  state.counters["ns_per_symbol"] =
+      ns / (static_cast<double>(state.iterations()) *
+            static_cast<double>(symbols));
 }
-BENCHMARK(BM_T1Block)->Arg(16)->Arg(32)->Arg(64)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_T1Block)
+    ->ArgsProduct({{16, 32, 64}, {0, 1, 2, 3}})
+    ->ArgNames({"cb", "orient"})
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

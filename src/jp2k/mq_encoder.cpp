@@ -1,105 +1,70 @@
 #include "jp2k/mq_encoder.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 
 namespace cj2k::jp2k {
 
+MqCoder::ByteOut MqCoder::emit_byte(std::uint8_t* bp, std::uint32_t c) {
+  if (*bp == 0xFF) {
+    // Bit stuffing after an 0xFF byte: only 7 bits go out.
+    *++bp = static_cast<std::uint8_t>(c >> 20);
+    return {bp, c & 0xFFFFF, 7};
+  }
+  if (c >= 0x8000000) {
+    // Propagate the carry into the previous byte.
+    ++*bp;
+    if (*bp == 0xFF) {
+      c &= 0x7FFFFFF;
+      *++bp = static_cast<std::uint8_t>(c >> 20);
+      return {bp, c & 0xFFFFF, 7};
+    }
+  }
+  *++bp = static_cast<std::uint8_t>(c >> 19);
+  return {bp, c & 0x7FFFF, 8};
+}
+
 void MqEncoder::reset() {
-  c_ = 0;
-  a_ = 0x8000;
-  ct_ = 12;
+  buf_.assign(1, 0);
+  r_ = MqCoder{0, 0x8000, 12, buf_.data(), 0};
   flushed_ = false;
-  decisions_ = 0;
-  out_.clear();
+}
+
+MqCoder MqEncoder::begin_run(std::size_t max_decisions) {
+  CJ2K_DCHECK(!flushed_);
+  const std::size_t used = static_cast<std::size_t>(r_.bp - buf_.data()) + 1;
+  const std::size_t need = used + 3 * max_decisions;
+  if (need > buf_.size()) {
+    buf_.resize(std::max(need, 2 * buf_.size()));
+    r_.bp = buf_.data() + (used - 1);
+  }
+  return r_;
 }
 
 void MqEncoder::encode(MqContext& cx, int d) {
-  CJ2K_DCHECK(!flushed_);
-  ++decisions_;
-  const MqStateRow& st = kMqTable[cx.index];
-  const std::uint32_t qe = st.qe;
-
-  if (d == cx.mps) {
-    // CODEMPS (Annex C, Figure C.7).
-    a_ -= qe;
-    if ((a_ & 0x8000) == 0) {
-      if (a_ < qe) {
-        a_ = qe;
-      } else {
-        c_ += qe;
-      }
-      cx.index = st.nmps;
-      renorm();
-    } else {
-      c_ += qe;
-    }
-  } else {
-    // CODELPS (Annex C, Figure C.6).
-    a_ -= qe;
-    if (a_ < qe) {
-      c_ += qe;
-    } else {
-      a_ = qe;
-    }
-    if (st.sw) cx.mps ^= 1;
-    cx.index = st.nlps;
-    renorm();
-  }
-}
-
-void MqEncoder::renorm() {
-  do {
-    a_ <<= 1;
-    c_ <<= 1;
-    if (--ct_ == 0) byteout();
-  } while ((a_ & 0x8000) == 0);
-}
-
-void MqEncoder::byteout() {
-  // Annex C, Figure C.8.  `out_.back()` plays the role of register B.
-  if (!out_.empty() && out_.back() == 0xFF) {
-    // Bit stuffing after an 0xFF byte: only 7 bits go out.
-    out_.push_back(static_cast<std::uint8_t>(c_ >> 20));
-    c_ &= 0xFFFFF;
-    ct_ = 7;
-    return;
-  }
-  if (c_ < 0x8000000 || out_.empty()) {
-    // No carry (the carry bit cannot be set before the first byte is out).
-    out_.push_back(static_cast<std::uint8_t>(c_ >> 19));
-    c_ &= 0x7FFFF;
-    ct_ = 8;
-    return;
-  }
-  // Propagate the carry into the previous byte.
-  out_.back() = static_cast<std::uint8_t>(out_.back() + 1);
-  if (out_.back() == 0xFF) {
-    c_ &= 0x7FFFFFF;
-    out_.push_back(static_cast<std::uint8_t>(c_ >> 20));
-    c_ &= 0xFFFFF;
-    ct_ = 7;
-  } else {
-    out_.push_back(static_cast<std::uint8_t>(c_ >> 19));
-    c_ &= 0x7FFFF;
-    ct_ = 8;
-  }
+  MqCoder coder = begin_run(1);
+  coder.encode(cx, d);
+  end_run(coder);
 }
 
 void MqEncoder::flush() {
   CJ2K_CHECK_MSG(!flushed_, "MQ encoder flushed twice");
+  MqCoder r = begin_run(1);  // room for the two bytes below
   // SETBITS (Figure C.9): fill C with as many 1 bits as possible without
   // leaving the final interval.
-  const std::uint32_t tempc = c_ + a_;
-  c_ |= 0xFFFF;
-  if (c_ >= tempc) c_ -= 0x8000;
+  const std::uint32_t tempc = r.c + r.a;
+  r.c |= 0xFFFF;
+  if (r.c >= tempc) r.c -= 0x8000;
 
-  c_ <<= ct_;
-  byteout();
-  c_ <<= ct_;
-  byteout();
+  r.c <<= r.ct;
+  r.byteout();
+  r.c <<= r.ct;
+  r.byteout();
 
   // A terminated segment must not end in 0xFF (it would look like a marker).
-  while (!out_.empty() && out_.back() == 0xFF) out_.pop_back();
+  while (r.bp != buf_.data() && *r.bp == 0xFF) --r.bp;
+  end_run(r);
   flushed_ = true;
 }
 
@@ -108,8 +73,8 @@ std::size_t MqEncoder::truncation_length() const {
   // interval information in A.  The standard's simple conservative bound:
   // bytes_out + ceil((27 - ct) / 8) + 1 extra byte of slack.  We use the
   // tighter and common "bp + 3" style bound relative to emitted bytes.
-  const std::size_t pending_bits = static_cast<std::size_t>(27 - ct_);
-  return out_.size() + (pending_bits + 7) / 8 + 1;
+  const std::size_t pending_bits = static_cast<std::size_t>(27 - r_.ct);
+  return bytes().size() + (pending_bits + 7) / 8 + 1;
 }
 
 }  // namespace cj2k::jp2k

@@ -74,6 +74,39 @@ ScLookup sc_lookup(int hc, int vc) {
   return {kCtxScBase + 4, 1};
 }
 
+namespace {
+
+T1ContextTables build_context_tables() {
+  T1ContextTables t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    const auto bit = [i](std::uint32_t b) { return (i & b) ? 1 : 0; };
+    const int h = bit(kNbrW) + bit(kNbrE);
+    const int v = bit(kNbrN) + bit(kNbrS);
+    const int d = bit(kNbrNW) + bit(kNbrNE) + bit(kNbrSW) + bit(kNbrSE);
+    for (int o = 0; o < 4; ++o) {
+      t.zc[o][i] = static_cast<std::uint8_t>(
+          zc_context(static_cast<SubbandOrient>(o), h, v, d));
+    }
+    // Index bits 0-3: N/S/W/E significant; bits 4-7: the same four negative.
+    const auto contrib = [i](int k) {
+      if (!(i & (1u << k))) return 0;
+      return (i & (1u << (k + 4))) ? -1 : 1;
+    };
+    const int hc = std::clamp(contrib(2) + contrib(3), -1, 1);
+    const int vc = std::clamp(contrib(0) + contrib(1), -1, 1);
+    const ScLookup sc = sc_lookup(hc, vc);
+    t.sc[i] = static_cast<std::uint8_t>(sc.context << 1 | sc.xor_bit);
+  }
+  return t;
+}
+
+}  // namespace
+
+const T1ContextTables& t1_context_tables() {
+  static const T1ContextTables tables = build_context_tables();
+  return tables;
+}
+
 std::uint32_t block_prescan(Span2d<const Sample> coeffs, std::uint32_t* mag,
                             T1Flags* flags) {
   const std::size_t w = coeffs.width();
@@ -95,11 +128,11 @@ std::uint32_t block_prescan(Span2d<const Sample> coeffs, std::uint32_t* mag,
       if (mrow) mrow[x] = static_cast<std::int32_t>(m);
       if (m > maxmag) maxmag = m;
     }
-    // Sign flags are sparse bit ORs into the bordered flag plane; scalar.
+    // The sign bit of each flag word, straight from the coefficient's.
     if (flags) {
-      std::uint16_t* frow = &flags->at(y, 0);
+      std::uint32_t* frow = &flags->at(y, 0);
       for (x = 0; x < w; ++x) {
-        if (row[x] < 0) frow[x] |= kFlagSign;
+        frow[x] |= (static_cast<std::uint32_t>(row[x]) >> 31) << kFlagSignShift;
       }
     }
   }

@@ -3,6 +3,7 @@
 // ISO/IEC 15444-1 Annex D, coefficient flags, and pass bookkeeping.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -101,77 +102,106 @@ struct T1EncodedBlock {
   std::uint64_t total_symbols = 0; ///< Instrumentation for the cost models.
 };
 
-/// Flag bits for the bordered per-coefficient state array.
-inline constexpr std::uint16_t kFlagSig = 1;      ///< Significant.
-inline constexpr std::uint16_t kFlagVisit = 2;    ///< Coded in current SPP.
-inline constexpr std::uint16_t kFlagRefined = 4;  ///< Refined at least once.
-inline constexpr std::uint16_t kFlagSign = 8;     ///< Coefficient negative.
+/// The Tier-1 flag word: one `uint32_t` per sample of a bordered plane.
+/// Besides the sample's own state it carries its neighbourhood, kept up to
+/// date as neighbours become significant (T1Flags::set_significant), so
+/// context formation is a table lookup on the word instead of a recount of
+/// eight neighbours:
+///
+///   bits 0-3   significance of the N, S, W, E neighbours
+///   bits 4-7   significance of the NW, NE, SW, SE neighbours
+///   bits 8-11  sign of the N, S, W, E neighbours (set with their bit 0-3)
+///   bits 12-15 the sample's own significance, visit, refined and sign bits
+///
+/// The low byte indexes the zero-coding table; bits 0-3 with 8-11 index the
+/// sign-coding table.
+inline constexpr std::uint32_t kNbrN = 1u << 0;
+inline constexpr std::uint32_t kNbrS = 1u << 1;
+inline constexpr std::uint32_t kNbrW = 1u << 2;
+inline constexpr std::uint32_t kNbrE = 1u << 3;
+inline constexpr std::uint32_t kNbrNW = 1u << 4;
+inline constexpr std::uint32_t kNbrNE = 1u << 5;
+inline constexpr std::uint32_t kNbrSW = 1u << 6;
+inline constexpr std::uint32_t kNbrSE = 1u << 7;
+inline constexpr std::uint32_t kNbrSigMask = 0xFFu;  ///< All eight.
+inline constexpr int kNbrSignShift = 8;  ///< Sign of N/S/W/E at bits 8-11.
+inline constexpr std::uint32_t kFlagSig = 1u << 12;      ///< Significant.
+inline constexpr std::uint32_t kFlagVisit = 1u << 13;    ///< Coded in this SPP.
+inline constexpr std::uint32_t kFlagRefined = 1u << 14;  ///< Refined before.
+inline constexpr int kFlagSignShift = 15;
+inline constexpr std::uint32_t kFlagSign = 1u << kFlagSignShift;  ///< Negative.
 
-/// Shared neighborhood queries over the bordered flag array.  The array has
-/// a one-cell border so neighbor reads never need bounds checks.
+/// Contexts indexed by flag-word bits, built once from zc_context() and
+/// sc_lookup(), which stay the reference definitions.
+struct T1ContextTables {
+  std::uint8_t zc[4][256];  ///< [orient][word & kNbrSigMask] -> context.
+  std::uint8_t sc[256];     ///< [sc_index(word)] -> context << 1 | xor bit.
+};
+const T1ContextTables& t1_context_tables();
+
+/// Sign-coding table index of a flag word: N/S/W/E significance in bits
+/// 0-3, their signs in bits 4-7.
+inline std::uint32_t sc_index(std::uint32_t f) {
+  return (f & 0xFu) | ((f >> (kNbrSignShift - 4)) & 0xF0u);
+}
+
+/// True if the significance pass codes the sample with flag word `f`: still
+/// insignificant, with a significant neighbour.
+inline bool spp_candidate(std::uint32_t f) {
+  return (f & kNbrSigMask) != 0 && (f & kFlagSig) == 0;
+}
+
+/// Magnitude-refinement context of a significant sample's flag word.
+inline int mr_context(std::uint32_t f) {
+  if (f & kFlagRefined) return kCtxMrBase + 2;
+  return (f & kNbrSigMask) ? kCtxMrBase + 1 : kCtxMrBase;
+}
+
+/// Bordered plane of flag words.  The one-word border takes the neighbour
+/// updates of edge samples, so neither the updates nor the reads need
+/// bounds checks.
 struct T1Flags {
   explicit T1Flags(std::size_t w, std::size_t h)
-      : width(w), height(h), stride(w + 2),
-        cells((w + 2) * (h + 2), 0) {}
+      : stride(w + 2), cells((w + 2) * (h + 2), 0) {}
 
   std::size_t index(std::size_t y, std::size_t x) const {
     return (y + 1) * stride + (x + 1);
   }
-  std::uint16_t& at(std::size_t y, std::size_t x) {
+  std::uint32_t& at(std::size_t y, std::size_t x) {
     return cells[index(y, x)];
   }
-  std::uint16_t at(std::size_t y, std::size_t x) const {
+  std::uint32_t at(std::size_t y, std::size_t x) const {
     return cells[index(y, x)];
   }
 
-  /// Horizontal / vertical / diagonal significant-neighbor counts.
-  /// With `causal` set and (y, x) on the last row of its stripe, the three
-  /// neighbors below are treated as insignificant (VSC).
-  void neighbor_counts(std::size_t y, std::size_t x, int& h, int& v, int& d,
-                       bool causal = false) const {
-    const std::size_t i = index(y, x);
-    const auto sig = [&](std::size_t j) {
-      return static_cast<int>(cells[j] & kFlagSig);
-    };
-    const bool mask_below = causal && (y % 4 == 3);
-    h = sig(i - 1) + sig(i + 1);
-    v = sig(i - stride) + (mask_below ? 0 : sig(i + stride));
-    d = sig(i - stride - 1) + sig(i - stride + 1) +
-        (mask_below ? 0 : sig(i + stride - 1) + sig(i + stride + 1));
+  /// Marks the sample at `f` significant (its kFlagSign must already be
+  /// final) and publishes its significance and sign to its eight
+  /// neighbours.  `causal_top` is set for a sample in the first row of a
+  /// stripe under VSC: the stripe above then never sees it, which is the
+  /// standard's masking of the below-neighbours on a stripe's last row.
+  void set_significant(std::uint32_t* f, bool causal_top) {
+    const std::ptrdiff_t s = static_cast<std::ptrdiff_t>(stride);
+    const std::uint32_t neg = (*f >> kFlagSignShift) & 1u;
+    *f |= kFlagSig;
+    f[-1] |= kNbrE | (neg << (kNbrSignShift + 3));
+    f[1] |= kNbrW | (neg << (kNbrSignShift + 2));
+    f[s - 1] |= kNbrNE;
+    f[s] |= kNbrN | (neg << kNbrSignShift);
+    f[s + 1] |= kNbrNW;
+    if (causal_top) return;
+    f[-s - 1] |= kNbrSE;
+    f[-s] |= kNbrS | (neg << (kNbrSignShift + 1));
+    f[-s + 1] |= kNbrSW;
   }
 
-  /// Clamped sign contributions for sign coding (same VSC masking).
-  void sign_contributions(std::size_t y, std::size_t x, int& hc, int& vc,
-                          bool causal = false) const {
-    const std::size_t i = index(y, x);
-    const auto contrib = [&](std::size_t j) {
-      const std::uint16_t f = cells[j];
-      if (!(f & kFlagSig)) return 0;
-      return (f & kFlagSign) ? -1 : 1;
-    };
-    const bool mask_below = causal && (y % 4 == 3);
-    hc = contrib(i - 1) + contrib(i + 1);
-    if (hc > 1) hc = 1;
-    if (hc < -1) hc = -1;
-    vc = contrib(i - stride) + (mask_below ? 0 : contrib(i + stride));
-    if (vc > 1) vc = 1;
-    if (vc < -1) vc = -1;
-  }
-
-  void clear_visit() {
-    for (auto& f : cells) f &= static_cast<std::uint16_t>(~kFlagVisit);
-  }
-
-  std::size_t width;
-  std::size_t height;
   std::size_t stride;
-  std::vector<std::uint16_t> cells;
+  std::vector<std::uint32_t> cells;
 };
 
 /// Block prescan shared by both block coders: returns the maximum
 /// |coefficient|, which fixes the block's bit-plane count.  The EBCOT coder
 /// also passes `mag`, filled with |coeffs(y,x)| at y*width+x, and `flags`,
-/// which gets kFlagSign on every negative sample; the HT coder passes
+/// whose words get kFlagSign on every negative sample; the HT coder passes
 /// neither.  Vectorized on host SIMD (common/native_simd.hpp).  Tier-1
 /// timing is a replay of symbol counts, so the prescan charges no counters.
 std::uint32_t block_prescan(Span2d<const Sample> coeffs,

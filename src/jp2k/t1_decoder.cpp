@@ -9,6 +9,7 @@ namespace cj2k::jp2k {
 
 namespace {
 
+/// Mirror of the encoder's passes (t1_encoder.cpp) over the same flag word.
 class BlockDecoder {
  public:
   BlockDecoder(const std::uint8_t* data, std::size_t size, int num_bitplanes,
@@ -17,7 +18,8 @@ class BlockDecoder {
       : opt_(options),
         w_(out.width()),
         h_(out.height()),
-        orient_(orient),
+        zc_(t1_context_tables().zc[static_cast<int>(orient)]),
+        sc_(t1_context_tables().sc),
         num_planes_(num_bitplanes),
         num_passes_(num_passes),
         out_(out),
@@ -46,7 +48,6 @@ class BlockDecoder {
       if (opt_.reset_contexts) ctx_.reset();
       cleanup_pass(p);
       --remaining;
-      flags_.clear_visit();
     }
 
     // Reconstruct: exact when final_plane == 0 and all passes ran;
@@ -68,37 +69,31 @@ class BlockDecoder {
   }
 
  private:
-  void decode_sign(std::size_t y, std::size_t x) {
-    int hc, vc;
-    flags_.sign_contributions(y, x, hc, vc, opt_.vertically_causal);
-    const ScLookup sc = sc_lookup(hc, vc);
-    const int bit = mq_.decode(ctx_[sc.context]);
-    if ((bit ^ sc.xor_bit) != 0) flags_.at(y, x) |= kFlagSign;
+  /// Decodes the sign of the sample at (y0 + j, x) and makes it significant
+  /// with magnitude bit p set.
+  void decode_sign(std::size_t y0, std::size_t j, std::size_t x, int p) {
+    std::uint32_t* f = &flags_.at(y0 + j, x);
+    const std::uint8_t sc = sc_[sc_index(*f)];
+    const auto bit = static_cast<std::uint32_t>(mq_.decode(ctx_[sc >> 1]));
+    *f |= (bit ^ (sc & 1u)) << kFlagSignShift;
+    flags_.set_significant(f, opt_.vertically_causal && j == 0);
+    mag_[(y0 + j) * w_ + x] |= 1u << p;
   }
 
-  bool decode_significance(std::size_t y, std::size_t x, int p, int zc_ctx) {
-    const int bit = mq_.decode(ctx_[zc_ctx]);
-    if (bit) {
-      decode_sign(y, x);
-      flags_.at(y, x) |= kFlagSig;
-      mag_[y * w_ + x] |= 1u << p;
-      return true;
-    }
-    return false;
+  void decode_zc(std::size_t y0, std::size_t j, std::size_t x, int p) {
+    const std::uint32_t f = flags_.at(y0 + j, x);
+    if (mq_.decode(ctx_[zc_[f & kNbrSigMask]])) decode_sign(y0, j, x, p);
   }
 
   void significance_pass(int p) {
     for (std::size_t y0 = 0; y0 < h_; y0 += kStripeHeight) {
-      const std::size_t ymax = std::min(y0 + kStripeHeight, h_);
+      const std::size_t n = std::min(kStripeHeight, h_ - y0);
       for (std::size_t x = 0; x < w_; ++x) {
-        for (std::size_t y = y0; y < ymax; ++y) {
-          std::uint16_t& f = flags_.at(y, x);
-          if (f & kFlagSig) continue;
-          int h, v, d;
-          flags_.neighbor_counts(y, x, h, v, d, opt_.vertically_causal);
-          if (h + v + d == 0) continue;
-          decode_significance(y, x, p, zc_context(orient_, h, v, d));
-          f |= kFlagVisit;
+        for (std::size_t j = 0; j < n; ++j) {
+          const std::uint32_t f = flags_.at(y0 + j, x);
+          if (!spp_candidate(f)) continue;
+          decode_zc(y0, j, x, p);
+          flags_.at(y0 + j, x) |= kFlagVisit;
         }
       }
     }
@@ -106,21 +101,14 @@ class BlockDecoder {
 
   void refinement_pass(int p) {
     for (std::size_t y0 = 0; y0 < h_; y0 += kStripeHeight) {
-      const std::size_t ymax = std::min(y0 + kStripeHeight, h_);
+      const std::size_t n = std::min(kStripeHeight, h_ - y0);
       for (std::size_t x = 0; x < w_; ++x) {
-        for (std::size_t y = y0; y < ymax; ++y) {
-          std::uint16_t& f = flags_.at(y, x);
-          if (!(f & kFlagSig) || (f & kFlagVisit)) continue;
-          int mr_ctx;
-          if (!(f & kFlagRefined)) {
-            int h, v, d;
-            flags_.neighbor_counts(y, x, h, v, d, opt_.vertically_causal);
-            mr_ctx = (h + v + d > 0) ? kCtxMrBase + 1 : kCtxMrBase;
-          } else {
-            mr_ctx = kCtxMrBase + 2;
+        for (std::size_t j = 0; j < n; ++j) {
+          std::uint32_t& f = flags_.at(y0 + j, x);
+          if ((f & (kFlagSig | kFlagVisit)) != kFlagSig) continue;
+          if (mq_.decode(ctx_[mr_context(f)])) {
+            mag_[(y0 + j) * w_ + x] |= 1u << p;
           }
-          const int bit = mq_.decode(ctx_[mr_ctx]);
-          if (bit) mag_[y * w_ + x] |= 1u << p;
           f |= kFlagRefined;
         }
       }
@@ -129,42 +117,27 @@ class BlockDecoder {
 
   void cleanup_pass(int p) {
     for (std::size_t y0 = 0; y0 < h_; y0 += kStripeHeight) {
-      const std::size_t ymax = std::min(y0 + kStripeHeight, h_);
-      const bool full_stripe = (ymax - y0) == kStripeHeight;
+      const std::size_t n = std::min(kStripeHeight, h_ - y0);
       for (std::size_t x = 0; x < w_; ++x) {
-        std::size_t y = y0;
-        bool run_mode = full_stripe;
-        if (run_mode) {
-          for (std::size_t j = y0; j < ymax; ++j) {
-            const std::uint16_t f = flags_.at(j, x);
-            if (f & (kFlagSig | kFlagVisit)) {
-              run_mode = false;
-              break;
-            }
-            int h, v, d;
-            flags_.neighbor_counts(j, x, h, v, d, opt_.vertically_causal);
-            if (h + v + d != 0) {
-              run_mode = false;
-              break;
-            }
+        std::size_t j = 0;
+        if (n == kStripeHeight) {
+          std::uint32_t any = 0;
+          for (std::size_t k = 0; k < n; ++k) any |= flags_.at(y0 + k, x);
+          if (!(any & (kFlagSig | kFlagVisit | kNbrSigMask))) {
+            if (mq_.decode(ctx_[kCtxRunLength]) == 0) continue;
+            j = static_cast<std::size_t>(mq_.decode(ctx_[kCtxUniform])) << 1;
+            j |= static_cast<std::size_t>(mq_.decode(ctx_[kCtxUniform]));
+            decode_sign(y0, j, x, p);
+            ++j;
           }
         }
-        if (run_mode) {
-          if (mq_.decode(ctx_[kCtxRunLength]) == 0) continue;
-          int first_one = mq_.decode(ctx_[kCtxUniform]) << 1;
-          first_one |= mq_.decode(ctx_[kCtxUniform]);
-          const std::size_t yr = y0 + static_cast<std::size_t>(first_one);
-          decode_sign(yr, x);
-          flags_.at(yr, x) |= kFlagSig;
-          mag_[yr * w_ + x] |= 1u << p;
-          y = yr + 1;
-        }
-        for (; y < ymax; ++y) {
-          const std::uint16_t f = flags_.at(y, x);
-          if (f & (kFlagSig | kFlagVisit)) continue;
-          int h, v, d;
-          flags_.neighbor_counts(y, x, h, v, d, opt_.vertically_causal);
-          decode_significance(y, x, p, zc_context(orient_, h, v, d));
+        for (; j < n; ++j) {
+          std::uint32_t& f = flags_.at(y0 + j, x);
+          if (f & kFlagVisit) {
+            f &= ~kFlagVisit;
+          } else if (!(f & kFlagSig)) {
+            decode_zc(y0, j, x, p);
+          }
         }
       }
     }
@@ -173,7 +146,8 @@ class BlockDecoder {
   T1Options opt_;
   std::size_t w_;
   std::size_t h_;
-  SubbandOrient orient_;
+  const std::uint8_t* zc_;  ///< ZC table of this block's orientation.
+  const std::uint8_t* sc_;
   int num_planes_;
   int num_passes_;
   Span2d<Sample> out_;

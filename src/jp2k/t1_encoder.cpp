@@ -1,7 +1,6 @@
 #include "jp2k/t1_encoder.hpp"
 
-#include <cmath>
-#include <cstdlib>
+#include <algorithm>
 
 #include "common/error.hpp"
 #include "jp2k/mq_encoder.hpp"
@@ -10,15 +9,19 @@ namespace cj2k::jp2k {
 
 namespace {
 
-/// Working state for one block encode.
+/// Working state for one block encode.  The passes walk stripe columns of
+/// the flag plane (t1_common.hpp) and code each stripe through a local copy
+/// of the MQ registers.
 class BlockEncoder {
  public:
   BlockEncoder(Span2d<const Sample> coeffs, SubbandOrient orient,
                const T1Options& options)
       : w_(coeffs.width()),
         h_(coeffs.height()),
-        orient_(orient),
-        opt_(options),
+        causal_(options.vertically_causal),
+        reset_(options.reset_contexts),
+        zc_(t1_context_tables().zc[static_cast<int>(orient)]),
+        sc_(t1_context_tables().sc),
         flags_(w_, h_),
         mag_(w_ * h_) {
     CJ2K_CHECK_MSG(w_ >= 1 && w_ <= 1024 && h_ >= 1 && h_ <= 1024,
@@ -32,41 +35,35 @@ class BlockEncoder {
     T1EncodedBlock out;
     out.num_bitplanes = num_planes_;
     if (num_planes_ == 0) return out;  // all-zero block: no passes.
+    out.passes.reserve(static_cast<std::size_t>(3 * num_planes_ - 2));
 
     for (int p = num_planes_ - 1; p >= 0; --p) {
       if (p != num_planes_ - 1) {
-        if (opt_.reset_contexts) ctx_.reset();
-        significance_pass(p);
-        finish_pass(out, PassType::kSignificance, p);
-        if (opt_.reset_contexts) ctx_.reset();
-        refinement_pass(p);
-        finish_pass(out, PassType::kRefinement, p);
+        if (reset_) ctx_.reset();
+        finish_pass(out, PassType::kSignificance, p, significance_pass(p));
+        if (reset_) ctx_.reset();
+        finish_pass(out, PassType::kRefinement, p, refinement_pass(p));
       }
-      if (opt_.reset_contexts) ctx_.reset();
-      cleanup_pass(p);
-      finish_pass(out, PassType::kCleanup, p);
-      flags_.clear_visit();
+      if (reset_) ctx_.reset();
+      finish_pass(out, PassType::kCleanup, p, cleanup_pass(p));
     }
     mq_.flush();
-    out.data = mq_.take_bytes();
+    const auto bytes = mq_.bytes();
+    out.data.assign(bytes.begin(), bytes.end());
     // The final pass's truncation estimate may exceed the flushed length;
     // clamp every stored estimate to the real terminated size.
     for (auto& pi : out.passes) {
       if (pi.trunc_len > out.data.size()) pi.trunc_len = out.data.size();
     }
-    out.total_symbols = symbols_total_;
+    out.total_symbols = mq_.decisions();
     return out;
   }
 
  private:
-  std::uint32_t mag(std::size_t y, std::size_t x) const {
-    return mag_[y * w_ + x];
-  }
-
   /// Squared-error reduction when the decoder's reconstruction of `m`
   /// improves from knowing planes > p to knowing planes >= p (midpoint
   /// reconstruction on both sides).
-  double dist_delta(std::uint32_t m, int p) const {
+  static double dist_delta(std::uint32_t m, int p) {
     const std::uint32_t hi_known = (m >> (p + 1)) << (p + 1);
     const std::uint32_t lo_known = (m >> p) << p;
     const double rec_old =
@@ -81,147 +78,172 @@ class BlockEncoder {
     return e_old * e_old - e_new * e_new;
   }
 
-  void encode_sign(std::size_t y, std::size_t x) {
-    int hc, vc;
-    flags_.sign_contributions(y, x, hc, vc, opt_.vertically_causal);
-    const ScLookup sc = sc_lookup(hc, vc);
-    const int sign = (flags_.at(y, x) & kFlagSign) ? 1 : 0;
-    mq_.encode(ctx_[sc.context], sign ^ sc.xor_bit);
+  /// Most decisions one stripe of one pass can code: two per sample (ZC +
+  /// sign), or, in a run-mode column, 4 for the first significant sample
+  /// plus 2 for each of the 3 below it.
+  std::size_t max_stripe_decisions() const { return 10 * w_; }
+
+  /// Nonzero if the flag word's sample is significant or visited.
+  static std::uint32_t done(std::uint32_t f) {
+    static_assert(kFlagVisit == kFlagSig << 1, "visit folds onto sig");
+    return (f | f >> 1) & kFlagSig;
   }
 
-  /// Codes the significance decision for (y, x) at plane p; returns true if
-  /// the coefficient became significant.
-  bool code_significance(std::size_t y, std::size_t x, int p, int zc_ctx) {
-    const int bit = static_cast<int>((mag(y, x) >> p) & 1);
-    mq_.encode(ctx_[zc_ctx], bit);
+  /// Codes the sign of the sample whose flag word is `f` and makes it
+  /// significant; `row` is its row within the stripe.
+  void code_sign(MqCoder& mq, std::uint32_t* f, std::size_t row) {
+    const std::uint8_t sc = sc_[sc_index(*f)];
+    const int sign = static_cast<int>(*f >> kFlagSignShift);
+    mq.encode(ctx_[sc >> 1], sign ^ (sc & 1));
+    flags_.set_significant(f, causal_ && row == 0);
+  }
+
+  /// Zero-codes the insignificant sample at `f` (magnitude `m`) at plane p.
+  void code_zc(MqCoder& mq, std::uint32_t* f, std::uint32_t m,
+               std::size_t row, int p, double& dist) {
+    const int bit = static_cast<int>((m >> p) & 1);
+    mq.encode(ctx_[zc_[*f & kNbrSigMask]], bit);
     if (bit) {
-      encode_sign(y, x);
-      flags_.at(y, x) |= kFlagSig;
-      pass_dist_ += dist_delta(mag(y, x), p);
-      return true;
+      code_sign(mq, f, row);
+      dist += dist_delta(m, p);
     }
-    return false;
   }
 
-  void significance_pass(int p) {
+  double significance_pass(int p) {
+    double dist = 0.0;
+    const std::size_t s = flags_.stride;
     for (std::size_t y0 = 0; y0 < h_; y0 += kStripeHeight) {
-      const std::size_t ymax = std::min(y0 + kStripeHeight, h_);
-      for (std::size_t x = 0; x < w_; ++x) {
-        for (std::size_t y = y0; y < ymax; ++y) {
-          std::uint16_t& f = flags_.at(y, x);
-          if (f & kFlagSig) continue;
-          int h, v, d;
-          flags_.neighbor_counts(y, x, h, v, d, opt_.vertically_causal);
-          if (h + v + d == 0) continue;  // not in the preferred neighborhood
-          code_significance(y, x, p, zc_context(orient_, h, v, d));
-          f |= kFlagVisit;
+      const std::size_t n = std::min(kStripeHeight, h_ - y0);
+      std::uint32_t* col = &flags_.at(y0, 0);
+      const std::uint32_t* mcol = &mag_[y0 * w_];
+      MqCoder mq = mq_.begin_run(max_stripe_decisions());
+      for (std::size_t x = 0; x < w_; ++x, ++col, ++mcol) {
+        // Nothing to code in a column with no significant neighbour or no
+        // insignificant sample.
+        if (n == kStripeHeight) {
+          const std::uint32_t f0 = col[0], f1 = col[s], f2 = col[2 * s],
+                              f3 = col[3 * s];
+          if (!(spp_candidate(f0) | spp_candidate(f1) | spp_candidate(f2) |
+                spp_candidate(f3))) {
+            continue;
+          }
+        }
+        for (std::size_t j = 0; j < n; ++j) {
+          std::uint32_t* f = col + j * s;
+          if (!spp_candidate(*f)) continue;
+          code_zc(mq, f, mcol[j * w_], j, p, dist);
+          *f |= kFlagVisit;
         }
       }
+      mq_.end_run(mq);
     }
+    return dist;
   }
 
-  void refinement_pass(int p) {
+  double refinement_pass(int p) {
+    double dist = 0.0;
+    const std::size_t s = flags_.stride;
     for (std::size_t y0 = 0; y0 < h_; y0 += kStripeHeight) {
-      const std::size_t ymax = std::min(y0 + kStripeHeight, h_);
-      for (std::size_t x = 0; x < w_; ++x) {
-        for (std::size_t y = y0; y < ymax; ++y) {
-          std::uint16_t& f = flags_.at(y, x);
-          if (!(f & kFlagSig) || (f & kFlagVisit)) continue;
-          int mr_ctx;
-          if (!(f & kFlagRefined)) {
-            int h, v, d;
-            flags_.neighbor_counts(y, x, h, v, d, opt_.vertically_causal);
-            mr_ctx = (h + v + d > 0) ? kCtxMrBase + 1 : kCtxMrBase;
-          } else {
-            mr_ctx = kCtxMrBase + 2;
-          }
-          const int bit = static_cast<int>((mag(y, x) >> p) & 1);
-          mq_.encode(ctx_[mr_ctx], bit);
-          f |= kFlagRefined;
-          pass_dist_ += dist_delta(mag(y, x), p);
+      const std::size_t n = std::min(kStripeHeight, h_ - y0);
+      std::uint32_t* col = &flags_.at(y0, 0);
+      const std::uint32_t* mcol = &mag_[y0 * w_];
+      MqCoder mq = mq_.begin_run(max_stripe_decisions());
+      for (std::size_t x = 0; x < w_; ++x, ++col, ++mcol) {
+        if (n == kStripeHeight &&
+            !((col[0] | col[s] | col[2 * s] | col[3 * s]) & kFlagSig)) {
+          continue;  // no significant sample to refine
+        }
+        for (std::size_t j = 0; j < n; ++j) {
+          std::uint32_t* f = col + j * s;
+          if ((*f & (kFlagSig | kFlagVisit)) != kFlagSig) continue;
+          const std::uint32_t m = mcol[j * w_];
+          mq.encode(ctx_[mr_context(*f)], static_cast<int>((m >> p) & 1));
+          *f |= kFlagRefined;
+          dist += dist_delta(m, p);
         }
       }
+      mq_.end_run(mq);
     }
+    return dist;
   }
 
-  void cleanup_pass(int p) {
+  /// Also clears the visit bits the significance pass set, column by column
+  /// as it leaves them.
+  double cleanup_pass(int p) {
+    double dist = 0.0;
+    const std::size_t s = flags_.stride;
     for (std::size_t y0 = 0; y0 < h_; y0 += kStripeHeight) {
-      const std::size_t ymax = std::min(y0 + kStripeHeight, h_);
-      const bool full_stripe = (ymax - y0) == kStripeHeight;
-      for (std::size_t x = 0; x < w_; ++x) {
-        std::size_t y = y0;
-        // Run-length mode: full stripe column, all four insignificant,
-        // unvisited, and with entirely insignificant neighborhoods.
-        bool run_mode = full_stripe;
-        if (run_mode) {
-          for (std::size_t j = y0; j < ymax; ++j) {
-            const std::uint16_t f = flags_.at(j, x);
-            if (f & (kFlagSig | kFlagVisit)) {
-              run_mode = false;
-              break;
+      const std::size_t n = std::min(kStripeHeight, h_ - y0);
+      std::uint32_t* col = &flags_.at(y0, 0);
+      const std::uint32_t* mcol = &mag_[y0 * w_];
+      MqCoder mq = mq_.begin_run(max_stripe_decisions());
+      for (std::size_t x = 0; x < w_; ++x, ++col, ++mcol) {
+        std::size_t j = 0;
+        if (n == kStripeHeight) {
+          const std::uint32_t f0 = col[0], f1 = col[s], f2 = col[2 * s],
+                              f3 = col[3 * s];
+          if (done(f0) & done(f1) & done(f2) & done(f3)) {
+            // Every sample significant or visited by this plane's SPP.
+            col[0] = f0 & ~kFlagVisit;
+            col[s] = f1 & ~kFlagVisit;
+            col[2 * s] = f2 & ~kFlagVisit;
+            col[3 * s] = f3 & ~kFlagVisit;
+            continue;
+          }
+          // Run-length mode: four insignificant, unvisited samples with
+          // entirely insignificant neighbourhoods.
+          if (!((f0 | f1 | f2 | f3) &
+                (kFlagSig | kFlagVisit | kNbrSigMask))) {
+            while (j < kStripeHeight && !((mcol[j * w_] >> p) & 1)) ++j;
+            if (j == kStripeHeight) {
+              mq.encode(ctx_[kCtxRunLength], 0);
+              continue;  // whole column stays insignificant
             }
-            int h, v, d;
-            flags_.neighbor_counts(j, x, h, v, d, opt_.vertically_causal);
-            if (h + v + d != 0) {
-              run_mode = false;
-              break;
-            }
+            mq.encode(ctx_[kCtxRunLength], 1);
+            mq.encode(ctx_[kCtxUniform], static_cast<int>(j >> 1));
+            mq.encode(ctx_[kCtxUniform], static_cast<int>(j & 1));
+            code_sign(mq, col + j * s, j);
+            dist += dist_delta(mcol[j * w_], p);
+            ++j;
           }
         }
-        if (run_mode) {
-          int first_one = -1;
-          for (std::size_t j = 0; j < kStripeHeight; ++j) {
-            if ((mag(y0 + j, x) >> p) & 1) {
-              first_one = static_cast<int>(j);
-              break;
-            }
+        for (; j < n; ++j) {
+          std::uint32_t* f = col + j * s;
+          if (*f & kFlagVisit) {
+            *f &= ~kFlagVisit;
+          } else if (!(*f & kFlagSig)) {
+            code_zc(mq, f, mcol[j * w_], j, p, dist);
           }
-          if (first_one < 0) {
-            mq_.encode(ctx_[kCtxRunLength], 0);
-            continue;  // whole column stays insignificant
-          }
-          mq_.encode(ctx_[kCtxRunLength], 1);
-          mq_.encode(ctx_[kCtxUniform], (first_one >> 1) & 1);
-          mq_.encode(ctx_[kCtxUniform], first_one & 1);
-          const std::size_t yr = y0 + static_cast<std::size_t>(first_one);
-          encode_sign(yr, x);
-          flags_.at(yr, x) |= kFlagSig;
-          pass_dist_ += dist_delta(mag(yr, x), p);
-          y = yr + 1;
-        }
-        for (; y < ymax; ++y) {
-          const std::uint16_t f = flags_.at(y, x);
-          if (f & (kFlagSig | kFlagVisit)) continue;
-          int h, v, d;
-          flags_.neighbor_counts(y, x, h, v, d, opt_.vertically_causal);
-          code_significance(y, x, p, zc_context(orient_, h, v, d));
         }
       }
+      mq_.end_run(mq);
     }
+    return dist;
   }
 
-  void finish_pass(T1EncodedBlock& out, PassType type, int plane) {
+  void finish_pass(T1EncodedBlock& out, PassType type, int plane,
+                   double dist) {
     PassInfo pi;
     pi.type = type;
     pi.bitplane = plane;
     pi.trunc_len = mq_.truncation_length();
-    pi.dist_reduction = pass_dist_;
+    pi.dist_reduction = dist;
     pi.symbols = mq_.decisions() - symbols_total_;
     symbols_total_ = mq_.decisions();
-    pass_dist_ = 0.0;
     out.passes.push_back(pi);
   }
 
   std::size_t w_;
   std::size_t h_;
-  SubbandOrient orient_;
-  T1Options opt_;
+  bool causal_;
+  bool reset_;
+  const std::uint8_t* zc_;  ///< ZC table of this block's orientation.
+  const std::uint8_t* sc_;
   T1Flags flags_;
   std::vector<std::uint32_t> mag_;
   int num_planes_ = 0;
   MqEncoder mq_;
   T1ContextBank ctx_;
-  double pass_dist_ = 0.0;
   std::uint64_t symbols_total_ = 0;
 };
 
