@@ -7,6 +7,7 @@
 
 #include "bench_common.hpp"
 #include "jp2k/encoder.hpp"
+#include "jp2k/ht_block.hpp"
 #include "jp2k/t1_encoder.hpp"
 
 namespace {
@@ -48,12 +49,9 @@ void run_ablation(const bench::Workload& wl) {
               " nothing in fit.\n");
 }
 
-// Host cost of one EBCOT block encode, per orientation (the ZC table
-// differs per band): items/s counts samples, ns_per_symbol divides the wall
-// time by the MQ decisions coded.
-void BM_T1Block(benchmark::State& state) {
-  const auto cb = static_cast<std::size_t>(state.range(0));
-  const auto orient = static_cast<jp2k::SubbandOrient>(state.range(1));
+/// A cb x cb block of level-shifted photographic samples, the content both
+/// block microbenchmarks code.
+std::vector<Sample> photographic_block(std::size_t cb) {
   const Image img = synth::photographic(cb, cb, 1, 3);
   std::vector<Sample> block(cb * cb);
   for (std::size_t y = 0; y < cb; ++y) {
@@ -61,6 +59,16 @@ void BM_T1Block(benchmark::State& state) {
       block[y * cb + x] = img.plane(0).at(y, x) - 128;
     }
   }
+  return block;
+}
+
+// Host cost of one EBCOT block encode, per orientation (the ZC table
+// differs per band): items/s counts samples, ns_per_symbol divides the wall
+// time by the MQ decisions coded.
+void BM_T1Block(benchmark::State& state) {
+  const auto cb = static_cast<std::size_t>(state.range(0));
+  const auto orient = static_cast<jp2k::SubbandOrient>(state.range(1));
+  const std::vector<Sample> block = photographic_block(cb);
   std::uint64_t symbols = 0;
   const auto t0 = std::chrono::steady_clock::now();
   for (auto _ : state) {
@@ -81,6 +89,32 @@ void BM_T1Block(benchmark::State& state) {
 BENCHMARK(BM_T1Block)
     ->ArgsProduct({{16, 32, 64}, {0, 1, 2, 3}})
     ->ArgNames({"cb", "orient"})
+    ->Unit(benchmark::kMicrosecond);
+
+// Host cost of one HT block encode on the same content: ns_per_sample
+// divides the wall time by the samples coded (HT's cost-model unit).
+void BM_HtBlock(benchmark::State& state) {
+  const auto cb = static_cast<std::size_t>(state.range(0));
+  const std::vector<Sample> block = photographic_block(cb);
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    auto enc =
+        jp2k::ht_encode_block(Span2d<const Sample>(block.data(), cb, cb));
+    benchmark::DoNotOptimize(enc.data.data());
+  }
+  const double ns = std::chrono::duration<double, std::nano>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+  const auto samples = static_cast<std::int64_t>(state.iterations()) *
+                       static_cast<std::int64_t>(cb * cb);
+  state.SetItemsProcessed(samples);
+  state.counters["ns_per_sample"] = ns / static_cast<double>(samples);
+}
+BENCHMARK(BM_HtBlock)
+    ->Arg(16)
+    ->Arg(32)
+    ->Arg(64)
+    ->ArgName("cb")
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

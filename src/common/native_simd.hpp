@@ -74,8 +74,7 @@ inline F4 abs(F4 a) {
 inline I4 add(I4 a, I4 b) { return {_mm_add_epi32(a.v, b.v)}; }
 inline I4 sub(I4 a, I4 b) { return {_mm_sub_epi32(a.v, b.v)}; }
 inline I4 xor_(I4 a, I4 b) { return {_mm_xor_si128(a.v, b.v)}; }
-/// Per-lane -1 where a > b (signed), else 0.
-inline I4 cmpgt(I4 a, I4 b) { return {_mm_cmpgt_epi32(a.v, b.v)}; }
+inline I4 or_(I4 a, I4 b) { return {_mm_or_si128(a.v, b.v)}; }
 /// Arithmetic shift right / logical shift left by `s` bits.
 inline I4 sra(I4 a, int s) {
   return {_mm_sra_epi32(a.v, _mm_cvtsi32_si128(s))};
@@ -131,9 +130,7 @@ inline F4 abs(F4 a) { return {vabsq_f32(a.v)}; }
 inline I4 add(I4 a, I4 b) { return {vaddq_s32(a.v, b.v)}; }
 inline I4 sub(I4 a, I4 b) { return {vsubq_s32(a.v, b.v)}; }
 inline I4 xor_(I4 a, I4 b) { return {veorq_s32(a.v, b.v)}; }
-inline I4 cmpgt(I4 a, I4 b) {
-  return {vreinterpretq_s32_u32(vcgtq_s32(a.v, b.v))};
-}
+inline I4 or_(I4 a, I4 b) { return {vorrq_s32(a.v, b.v)}; }
 inline I4 sra(I4 a, int s) { return {vshlq_s32(a.v, vdupq_n_s32(-s))}; }
 inline I4 sll(I4 a, int s) { return {vshlq_s32(a.v, vdupq_n_s32(s))}; }
 
@@ -225,9 +222,9 @@ inline I4 xor_(I4 a, I4 b) {
   for (int i = 0; i < 4; ++i) r.v[i] = a.v[i] ^ b.v[i];
   return r;
 }
-inline I4 cmpgt(I4 a, I4 b) {
+inline I4 or_(I4 a, I4 b) {
   I4 r;
-  for (int i = 0; i < 4; ++i) r.v[i] = a.v[i] > b.v[i] ? -1 : 0;
+  for (int i = 0; i < 4; ++i) r.v[i] = a.v[i] | b.v[i];
   return r;
 }
 inline I4 sra(I4 a, int s) {
@@ -273,14 +270,12 @@ inline I4 blend(I4 mask, I4 a, I4 b) {
 
 #endif
 
-/// |a| per int32 lane via the (v ^ sign) - sign idiom (lane magnitudes are
-/// < 2^31 everywhere in this codec, so INT_MIN cannot occur).
+/// |a| per int32 lane via the (v ^ sign) - sign idiom.  INT_MIN wraps to
+/// itself, so a lane whose result is still negative held INT_MIN.
 inline I4 abs(I4 a) {
   const I4 sign = neg_mask(a);
   return sub(xor_(a, sign), sign);
 }
-/// Per-lane signed maximum.
-inline I4 max(I4 a, I4 b) { return blend(cmpgt(a, b), a, b); }
 
 /// Lane-by-lane int32 operation through memory, for the multiplies SSE2
 /// has no 4×32-bit form of.  Only the Q13 fixed-point ablation kernels use

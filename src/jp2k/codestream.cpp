@@ -144,6 +144,10 @@ std::vector<std::uint8_t> write_codestream(
     const StreamHeader& hdr, const std::vector<TilePart>& tiles) {
   CJ2K_CHECK_MSG(!tiles.empty(), "codestream needs at least one tile");
   CJ2K_CHECK_MSG(tiles.size() <= 65535, "tile count exceeds Isot range");
+  // parse_codestream refuses such a SIZ, so never write one.
+  if (!within_max_samples(hdr.width, hdr.height, hdr.components)) {
+    throw InvalidArgument("image has more than kMaxSamples (2^28) samples");
+  }
 
   ByteWriter w;
   w.u16(kSoc);
@@ -244,6 +248,10 @@ StreamHeader parse_codestream(const std::vector<std::uint8_t>& bytes,
         if (hdr.tile_w == 0 || hdr.tile_h == 0 || hdr.tile_w > hdr.width ||
             hdr.tile_h > hdr.height) {
           throw CodestreamError("implausible SIZ tile size");
+        }
+        // Bound the image before anything is sized from it.
+        if (!within_max_samples(hdr.width, hdr.height, hdr.components)) {
+          throw CodestreamError("SIZ declares more than kMaxSamples samples");
         }
         saw_siz = true;
         break;

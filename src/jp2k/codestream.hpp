@@ -99,9 +99,25 @@ struct TilePart {
 };
 
 /// Serializes main header + one tile-part per grid tile (in Isot order) +
-/// EOC.  `tiles` must match the grid implied by hdr.tile_w/tile_h.
+/// EOC.  `tiles` must match the grid implied by hdr.tile_w/tile_h.  An
+/// image over kMaxSamples throws InvalidArgument.
 std::vector<std::uint8_t> write_codestream(const StreamHeader& hdr,
                                            const std::vector<TilePart>& tiles);
+
+/// Largest image, in samples (width × height × components), the codec
+/// encodes or decodes: 2^28, about 1 GiB of int32 coefficient planes (a
+/// 16384² grey or a 9459² RGB image).  write_codestream() refuses a larger
+/// image, so no encoder path writes one, and parse_codestream() refuses a
+/// SIZ declaring one before anything is sized from it.
+inline constexpr std::uint64_t kMaxSamples = std::uint64_t{1} << 28;
+
+/// Whether width × height × components is within kMaxSamples, by division,
+/// so no product overflows.
+constexpr bool within_max_samples(std::uint64_t width, std::uint64_t height,
+                                  std::uint64_t components) {
+  return components == 0 || height == 0 ||
+         width <= kMaxSamples / components / height;
+}
 
 /// Parser knobs.
 struct ParseOptions {
@@ -113,8 +129,9 @@ struct ParseOptions {
 
 /// Parses the main header and every tile-part; `tiles` comes back indexed
 /// by Isot with each part's band metadata and packet bounds.  Throws
-/// CodestreamError on malformed input (bad marker, out-of-range or
-/// duplicate Isot, unsupported TPsot/TNsot, Psot overruns, missing tiles).
+/// CodestreamError on malformed input (bad marker, an image over
+/// kMaxSamples, out-of-range or duplicate Isot, unsupported TPsot/TNsot,
+/// Psot overruns, missing tiles).
 StreamHeader parse_codestream(const std::vector<std::uint8_t>& bytes,
                               std::vector<TilePart>& tiles,
                               const ParseOptions& opt = {});

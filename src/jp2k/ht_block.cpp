@@ -3,8 +3,9 @@
 #include "jp2k/ht_block.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <cstdlib>
+#include <cstring>
 #include <vector>
 
 #include "common/error.hpp"
@@ -14,106 +15,113 @@ namespace cj2k::jp2k {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Bit I/O.  All three streams use LSB-first bit order within a byte; the
-// VLC stream is byte-reversed at assembly and read backward byte-by-byte,
-// so its per-byte bit order is unchanged.
+// Bit I/O.  All three streams are LSB-first within a byte and carry no bit
+// stuffing, so each is one little-endian bit string: packing n bits at once
+// into a 64-bit accumulator and storing whole 32-bit words writes exactly
+// the bytes a bit-at-a-time writer would, and a reader refilling 32 bits at
+// a time reads exactly the bits a bit-at-a-time reader would.  The VLC
+// stream is byte-reversed at assembly and read backward byte by byte, so its
+// per-byte bit order is unchanged.
 
+inline std::uint32_t byteswap32(std::uint32_t v) {
+  return (v >> 24) | ((v >> 8) & 0xFF00u) | ((v << 8) & 0xFF0000u) | (v << 24);
+}
+
+/// Stores `v` at `p`, least significant byte first.
+inline void store_le32(std::uint8_t* p, std::uint32_t v) {
+  if constexpr (std::endian::native == std::endian::big) v = byteswap32(v);
+  std::memcpy(p, &v, 4);
+}
+
+/// The 4 bytes at `p` as a little-endian word.
+inline std::uint32_t load_le32(const std::uint8_t* p) {
+  std::uint32_t v;
+  std::memcpy(&v, p, 4);
+  if constexpr (std::endian::native == std::endian::big) v = byteswap32(v);
+  return v;
+}
+
+/// Word-wide writer into a caller-sized buffer, which must hold the final
+/// stream rounded up to a whole word plus one spare word.
 class BitWriter {
  public:
-  explicit BitWriter(std::size_t reserve_bytes) {
-    bytes_.reserve(reserve_bytes);
-  }
+  explicit BitWriter(std::uint8_t* out) : begin_(out), out_(out) {}
 
-  void put(unsigned bit) {
-    acc_ |= (bit & 1u) << nbits_;
-    if (++nbits_ == 8) {
-      bytes_.push_back(static_cast<std::uint8_t>(acc_));
-      acc_ = 0;
-      nbits_ = 0;
-    }
-  }
-
+  /// Appends the low `n` bits of `v` (n <= 32, v < 2^n), first bit first.
   void put_bits(std::uint32_t v, int n) {
-    for (int i = 0; i < n; ++i) put((v >> i) & 1u);
-  }
-
-  /// Pads the final partial byte with zero bits.
-  void flush() {
-    if (nbits_ > 0) {
-      bytes_.push_back(static_cast<std::uint8_t>(acc_));
-      acc_ = 0;
-      nbits_ = 0;
+    acc_ |= std::uint64_t{v} << nbits_;
+    nbits_ += n;
+    if (nbits_ >= 32) {
+      store_le32(out_, static_cast<std::uint32_t>(acc_));
+      out_ += 4;
+      acc_ >>= 32;
+      nbits_ -= 32;
     }
   }
 
-  const std::vector<std::uint8_t>& bytes() const { return bytes_; }
+  /// Pads the final partial byte with zero bits; returns the stream length.
+  std::size_t flush() {
+    store_le32(out_, static_cast<std::uint32_t>(acc_));
+    return static_cast<std::size_t>(out_ - begin_) +
+           static_cast<std::size_t>(nbits_ + 7) / 8;
+  }
 
  private:
-  std::vector<std::uint8_t> bytes_;
-  unsigned acc_ = 0;
+  std::uint8_t* begin_;
+  std::uint8_t* out_;
+  std::uint64_t acc_ = 0;
   int nbits_ = 0;
 };
 
-/// Forward reader over [data, data+size); reads past the end yield 0 bits
-/// (mirrors the MQ decoder's defensive tail behavior).
+/// Word-wide reader over the `size` bytes at `data`, forward from the first
+/// or (kBackward) from the last toward the first; bits within a byte are
+/// LSB-first either way.  Reads past the range yield 0 bits (mirrors the MQ
+/// decoder's defensive tail behavior).
+template <bool kBackward>
 class BitReader {
  public:
   BitReader(const std::uint8_t* data, std::size_t size)
-      : data_(data), size_(size) {}
+      : data_(data), left_(size) {}
 
-  unsigned get() {
-    if (pos_ >= size_) return 0;
-    const unsigned b = (data_[pos_] >> bit_) & 1u;
-    if (++bit_ == 8) {
-      bit_ = 0;
-      ++pos_;
-    }
-    return b;
-  }
-
+  /// The next `n` bits (n <= 32), the first in the least significant place.
   std::uint32_t get_bits(int n) {
-    std::uint32_t v = 0;
-    for (int i = 0; i < n; ++i) v |= get() << i;
+    if (avail_ < n) refill();
+    const auto v =
+        static_cast<std::uint32_t>(buf_ & ((std::uint64_t{1} << n) - 1));
+    buf_ >>= n;
+    avail_ -= n;
     return v;
   }
 
+  unsigned get() { return get_bits(1); }
+
  private:
-  const std::uint8_t* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-  int bit_ = 0;
-};
-
-/// Backward byte-order reader for the reversed VLC stream: starts at byte
-/// `start` and walks toward `low`; bits within each byte are LSB-first.
-/// Reads below `low` yield 0 bits.
-class ReverseBitReader {
- public:
-  ReverseBitReader(const std::uint8_t* data, std::ptrdiff_t start,
-                   std::ptrdiff_t low)
-      : data_(data), pos_(start), low_(low) {}
-
-  unsigned get() {
-    if (pos_ < low_) return 0;
-    const unsigned b = (data_[pos_] >> bit_) & 1u;
-    if (++bit_ == 8) {
-      bit_ = 0;
-      --pos_;
+  /// Appends the next 32 bits of the range, zeros past its end.
+  void refill() {
+    std::uint32_t w = 0;
+    if (left_ >= 4) {
+      left_ -= 4;
+      if constexpr (kBackward) {
+        w = byteswap32(load_le32(data_ + left_));
+      } else {
+        w = load_le32(data_);
+        data_ += 4;
+      }
+    } else {
+      for (int k = 0; left_ > 0; ++k) {
+        --left_;
+        const std::uint8_t b = kBackward ? data_[left_] : *data_++;
+        w |= std::uint32_t{b} << (8 * k);
+      }
     }
-    return b;
+    buf_ |= std::uint64_t{w} << avail_;
+    avail_ += 32;
   }
 
-  std::uint32_t get_bits(int n) {
-    std::uint32_t v = 0;
-    for (int i = 0; i < n; ++i) v |= get() << i;
-    return v;
-  }
-
- private:
   const std::uint8_t* data_;
-  std::ptrdiff_t pos_;
-  std::ptrdiff_t low_;
-  int bit_ = 0;
+  std::size_t left_;
+  std::uint64_t buf_ = 0;
+  int avail_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -130,16 +138,17 @@ class MelEncoder {
   explicit MelEncoder(BitWriter& out) : out_(out) {}
 
   void encode(bool significant) {
+    const int e = kMelExponent[state_];
     if (!significant) {
-      if (++run_ == (1 << kMelExponent[state_])) {
-        out_.put(1);
+      if (++run_ == (1 << e)) {
+        out_.put_bits(1, 1);
         run_ = 0;
         state_ = std::min(state_ + 1, kMelStates - 1);
       }
       return;
     }
-    out_.put(0);
-    out_.put_bits(static_cast<std::uint32_t>(run_), kMelExponent[state_]);
+    // The interrupt: a 0-bit, then the partial run in E[k] bits.
+    out_.put_bits(static_cast<std::uint32_t>(run_) << 1, 1 + e);
     run_ = 0;
     state_ = std::max(state_ - 1, 0);
   }
@@ -149,7 +158,7 @@ class MelEncoder {
   /// asks for.
   void terminate() {
     if (run_ > 0) {
-      out_.put(1);
+      out_.put_bits(1, 1);
       run_ = 0;
     }
   }
@@ -162,7 +171,7 @@ class MelEncoder {
 
 class MelDecoder {
  public:
-  explicit MelDecoder(BitReader in) : in_(in) {}
+  explicit MelDecoder(BitReader<false> in) : in_(in) {}
 
   bool decode() {
     if (zeros_ == 0 && !one_pending_) refill();
@@ -186,7 +195,7 @@ class MelDecoder {
     }
   }
 
-  BitReader in_;
+  BitReader<false> in_;
   int state_ = 0;
   int zeros_ = 0;
   bool one_pending_ = false;
@@ -195,57 +204,35 @@ class MelDecoder {
 // ---------------------------------------------------------------------------
 // u-VLC for the per-quad magnitude exponent bound, coding u = U_q - 1:
 //   0 -> "0",  1 -> "10",  2 -> "110",  u >= 3 -> "111" + 5 raw bits of u-3.
+// As an LSB-first codeword: (1<<u)-1 in u+1 bits, or 7 | (u-3)<<3 in 8.
 
-void uvlc_encode(BitWriter& out, int u) {
-  if (u == 0) {
-    out.put(0);
-  } else if (u == 1) {
-    out.put(1);
-    out.put(0);
-  } else if (u == 2) {
-    out.put(1);
-    out.put(1);
-    out.put(0);
-  } else {
-    out.put(1);
-    out.put(1);
-    out.put(1);
-    out.put_bits(static_cast<std::uint32_t>(u - 3), 5);
-  }
+struct Codeword {
+  std::uint32_t bits;
+  int length;
+};
+
+Codeword uvlc_codeword(int u) {
+  if (u < 3) return {(1u << u) - 1, u + 1};
+  return {7u | static_cast<std::uint32_t>(u - 3) << 3, 8};
 }
 
-template <typename Reader>
-int uvlc_decode(Reader& in) {
+int uvlc_decode(BitReader<true>& in) {
   if (!in.get()) return 0;
   if (!in.get()) return 1;
   if (!in.get()) return 2;
   return 3 + static_cast<int>(in.get_bits(5));
 }
 
-int bit_length(std::uint32_t v) {
-  int n = 0;
-  while (v >> n) ++n;
-  return n;
-}
-
-/// The four samples of quad (qy, qx) in scan order n0=TL, n1=BL, n2=TR,
-/// n3=BR; out-of-bounds positions are reported absent.
-struct Quad {
-  std::size_t y[4];
-  std::size_t x[4];
-  bool present[4];
+/// Per-worker stream buffers, grown to the largest block seen and reused.
+struct HtScratch {
+  std::vector<std::uint8_t> magsgn, mel, vlc;
+  std::vector<std::uint8_t> north_sig;
 };
 
-Quad quad_at(std::size_t qy, std::size_t qx, std::size_t w, std::size_t h) {
-  Quad q;
-  static constexpr std::size_t dy[4] = {0, 1, 0, 1};
-  static constexpr std::size_t dx[4] = {0, 0, 1, 1};
-  for (int i = 0; i < 4; ++i) {
-    q.y[i] = 2 * qy + dy[i];
-    q.x[i] = 2 * qx + dx[i];
-    q.present[i] = q.y[i] < h && q.x[i] < w;
-  }
-  return q;
+/// Grows `buf` to at least `bytes` and returns its storage.
+std::uint8_t* sized(std::vector<std::uint8_t>& buf, std::size_t bytes) {
+  if (buf.size() < bytes) buf.resize(bytes);
+  return buf.data();
 }
 
 }  // namespace
@@ -259,83 +246,92 @@ T1EncodedBlock ht_encode_block(Span2d<const Sample> coeffs) {
   // Magnitude bit-plane count, exactly as EBCOT computes it: Tier-2 still
   // transmits it through the imsb tag tree, so the per-band maxima must
   // agree between coders.
-  const std::uint32_t maxmag = block_prescan(coeffs);
-
   T1EncodedBlock out;
-  out.num_bitplanes = bit_length(maxmag);
+  out.num_bitplanes = block_prescan(coeffs);
   out.total_symbols = static_cast<std::uint64_t>(w) * h;
-  if (maxmag == 0) return out;  // All-zero block: empty, like EBCOT.
+  if (out.num_bitplanes == 0) return out;  // All-zero block: empty, like EBCOT.
 
-  BitWriter magsgn(w * h);  // ~1 byte/sample is generous for typical blocks.
-  BitWriter melbits(64);
-  BitWriter vlc(w * h / 4 + 16);
-  MelEncoder mel(melbits);
-
+  // Worst cases per quad: 4 x 32 MagSgn bits, 6 MEL bits (+1 to terminate),
+  // 4 + 8 VLC bits; each buffer adds the writer's spare words.
   const std::size_t num_qx = (w + 1) / 2;
   const std::size_t num_qy = (h + 1) / 2;
-  std::vector<std::uint8_t> north_sig(num_qx, 0);
+  const std::size_t quads = num_qx * num_qy;
+  thread_local HtScratch scratch;
+  BitWriter magsgn(sized(scratch.magsgn, quads * 16 + 8));
+  BitWriter melbits(sized(scratch.mel, quads * 6 / 8 + 9));
+  BitWriter vlc(sized(scratch.vlc, quads * 12 / 8 + 9));
+  MelEncoder mel(melbits);
+  std::uint8_t* north_sig = sized(scratch.north_sig, num_qx);
+  std::fill(north_sig, north_sig + num_qx, std::uint8_t{0});
   double dist = 0.0;
 
   for (std::size_t qy = 0; qy < num_qy; ++qy) {
+    // The quad's two rows; a missing bottom row reads as zeros.
+    const Sample* top = coeffs.row(2 * qy);
+    const Sample* bottom = 2 * qy + 1 < h ? coeffs.row(2 * qy + 1) : nullptr;
     bool west_sig = false;
     for (std::size_t qx = 0; qx < num_qx; ++qx) {
-      const Quad q = quad_at(qy, qx, w, h);
-      unsigned rho = 0;
-      std::uint32_t mag[4] = {0, 0, 0, 0};
-      bool neg[4] = {false, false, false, false};
-      int umax = 0;
+      // Samples in scan order n0=TL, n1=BL, n2=TR, n3=BR; absent lanes are 0.
+      const std::size_t x = 2 * qx;
+      const bool right = x + 1 < w;
+      const Sample v[4] = {top[x], bottom ? bottom[x] : 0,
+                           right ? top[x + 1] : 0,
+                           bottom && right ? bottom[x + 1] : 0};
+      std::uint32_t mag[4];
+      std::uint32_t any = 0;
       for (int i = 0; i < 4; ++i) {
-        if (!q.present[i]) continue;
-        const Sample v = coeffs.at(q.y[i], q.x[i]);
-        mag[i] = static_cast<std::uint32_t>(std::abs(v));
-        neg[i] = v < 0;
-        if (mag[i] != 0) {
-          rho |= 1u << i;
-          umax = std::max(umax, bit_length(mag[i]));
-          dist += static_cast<double>(mag[i]) * static_cast<double>(mag[i]);
-        }
+        const auto u = static_cast<std::uint32_t>(v[i]);
+        mag[i] = v[i] < 0 ? 0u - u : u;
+        any |= mag[i];
       }
 
-      const int context = (west_sig ? 1 : 0) | (north_sig[qx] ? 2 : 0);
-      const bool sig = rho != 0;
-      if (context == 0) {
-        mel.encode(sig);
-        if (sig) vlc.put_bits(rho, 4);
-      } else {
-        vlc.put_bits(rho, 4);
-      }
-      if (sig) {
-        uvlc_encode(vlc, umax - 1);
-        for (int i = 0; i < 4; ++i) {
-          if (!(rho & (1u << i))) continue;
-          magsgn.put(neg[i] ? 1u : 0u);
-          magsgn.put_bits(mag[i] - 1, umax);
-        }
-      }
+      const bool sig = any != 0;
+      const bool context = west_sig || north_sig[qx] != 0;
       west_sig = sig;
       north_sig[qx] = sig ? 1 : 0;
+      // Zero-context quads code their significance in MEL; the others send
+      // their significance pattern, even an empty one, in VLC.
+      if (!context) {
+        mel.encode(sig);
+        if (!sig) continue;
+      } else if (!sig) {
+        vlc.put_bits(0, 4);
+        continue;
+      }
+
+      // VLC: the significance pattern, then U-1 as a u-VLC codeword.
+      const int umax = std::bit_width(any);
+      unsigned rho = 0;
+      for (int i = 0; i < 4; ++i) rho |= (mag[i] != 0 ? 1u : 0u) << i;
+      const Codeword cw = uvlc_codeword(umax - 1);
+      vlc.put_bits(rho | cw.bits << 4, 4 + cw.length);
+
+      // MagSgn: per significant sample its sign, then mag-1 in umax bits.
+      for (int i = 0; i < 4; ++i) {
+        if (mag[i] == 0) continue;
+        dist += static_cast<double>(mag[i]) * static_cast<double>(mag[i]);
+        const std::uint32_t sign = static_cast<std::uint32_t>(v[i]) >> 31;
+        magsgn.put_bits(sign | (mag[i] - 1) << 1, umax + 1);
+      }
     }
   }
 
   mel.terminate();
-  magsgn.flush();
-  melbits.flush();
-  vlc.flush();
-
-  const std::size_t mel_len = melbits.bytes().size();
-  const std::size_t vlc_len = vlc.bytes().size();
+  const std::size_t magsgn_len = magsgn.flush();
+  const std::size_t mel_len = melbits.flush();
+  const std::size_t vlc_len = vlc.flush();
   const std::size_t scup = mel_len + vlc_len + 4;
 
-  out.data.reserve(magsgn.bytes().size() + scup);
-  out.data.insert(out.data.end(), magsgn.bytes().begin(),
-                  magsgn.bytes().end());
-  out.data.insert(out.data.end(), melbits.bytes().begin(),
-                  melbits.bytes().end());
-  out.data.insert(out.data.end(), vlc.bytes().rbegin(), vlc.bytes().rend());
-  out.data.push_back(static_cast<std::uint8_t>((scup >> 24) & 0xFF));
-  out.data.push_back(static_cast<std::uint8_t>((scup >> 16) & 0xFF));
-  out.data.push_back(static_cast<std::uint8_t>((scup >> 8) & 0xFF));
-  out.data.push_back(static_cast<std::uint8_t>(scup & 0xFF));
+  out.data.resize(magsgn_len + scup);
+  std::uint8_t* dst = out.data.data();
+  std::memcpy(dst, scratch.magsgn.data(), magsgn_len);
+  std::memcpy(dst + magsgn_len, scratch.mel.data(), mel_len);
+  std::reverse_copy(scratch.vlc.data(), scratch.vlc.data() + vlc_len,
+                    dst + magsgn_len + mel_len);
+  std::uint8_t* trailer = dst + magsgn_len + mel_len + vlc_len;
+  for (int k = 0; k < 4; ++k) {
+    trailer[k] = static_cast<std::uint8_t>(scup >> (8 * (3 - k)));
+  }
 
   PassInfo pass;
   pass.type = PassType::kCleanup;
@@ -354,7 +350,7 @@ void ht_decode_block(const std::uint8_t* data, std::size_t size,
   const std::size_t h = out.height();
   for (std::size_t y = 0; y < h; ++y) {
     Sample* row = out.row(y);
-    for (std::size_t x = 0; x < w; ++x) row[x] = 0;
+    std::fill(row, row + w, Sample{0});
   }
   if (size == 0) return;  // All-zero block (no included passes).
   if (size < 4) throw CodestreamError("HT segment shorter than its trailer");
@@ -367,43 +363,46 @@ void ht_decode_block(const std::uint8_t* data, std::size_t size,
     throw CodestreamError("HT Scup out of range");
   }
 
-  BitReader magsgn(data, size - scup);
-  MelDecoder mel(BitReader(data + (size - scup), scup - 4));
-  ReverseBitReader vlc(data, static_cast<std::ptrdiff_t>(size) - 5,
-                       static_cast<std::ptrdiff_t>(size - scup));
+  BitReader<false> magsgn(data, size - scup);
+  MelDecoder mel(BitReader<false>(data + (size - scup), scup - 4));
+  BitReader<true> vlc(data + (size - scup), scup - 4);
 
   const std::size_t num_qx = (w + 1) / 2;
   const std::size_t num_qy = (h + 1) / 2;
   std::vector<std::uint8_t> north_sig(num_qx, 0);
 
   for (std::size_t qy = 0; qy < num_qy; ++qy) {
+    Sample* top = out.row(2 * qy);
+    Sample* bottom = 2 * qy + 1 < h ? out.row(2 * qy + 1) : nullptr;
     bool west_sig = false;
     for (std::size_t qx = 0; qx < num_qx; ++qx) {
-      const Quad q = quad_at(qy, qx, w, h);
-      const int context = (west_sig ? 1 : 0) | (north_sig[qx] ? 2 : 0);
+      const std::size_t x = 2 * qx;
+      const bool right = x + 1 < w;
       unsigned rho = 0;
-      if (context == 0) {
-        if (mel.decode()) rho = vlc.get_bits(4);
-      } else {
+      if (west_sig || north_sig[qx] != 0 || mel.decode()) {
         rho = vlc.get_bits(4);
       }
       const bool sig = rho != 0;
-      if (sig) {
-        const int u = uvlc_decode(vlc) + 1;
-        if (u > 31) throw CodestreamError("HT magnitude exponent overflow");
-        for (int i = 0; i < 4; ++i) {
-          if (!(rho & (1u << i))) continue;
-          if (!q.present[i]) {
-            throw CodestreamError("HT significance outside the block");
-          }
-          const bool negative = magsgn.get() != 0;
-          const std::uint32_t mag = magsgn.get_bits(u) + 1;
-          const Sample v = static_cast<Sample>(mag);
-          out.at(q.y[i], q.x[i]) = negative ? -v : v;
-        }
-      }
       west_sig = sig;
       north_sig[qx] = sig ? 1 : 0;
+      if (!sig) continue;
+
+      const int u = uvlc_decode(vlc) + 1;
+      if (u > 31) throw CodestreamError("HT magnitude exponent overflow");
+      const unsigned present = 1u | (bottom ? 2u : 0u) | (right ? 4u : 0u) |
+                               (bottom && right ? 8u : 0u);
+      if (rho & ~present) {
+        throw CodestreamError("HT significance outside the block");
+      }
+      for (int i = 0; i < 4; ++i) {
+        if (!(rho & (1u << i))) continue;
+        // Sign bit, then mag-1 in u bits; unsigned negation keeps a hostile
+        // 2^31 magnitude defined.
+        const std::uint32_t bits = magsgn.get_bits(u + 1);
+        const std::uint32_t mag = (bits >> 1) + 1;
+        Sample* row = (i & 1) ? bottom : top;
+        row[x + (i >> 1)] = static_cast<Sample>((bits & 1u) ? 0u - mag : mag);
+      }
     }
   }
 }

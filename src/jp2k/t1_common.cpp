@@ -1,6 +1,7 @@
 #include "jp2k/t1_common.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/error.hpp"
 #include "common/native_simd.hpp"
@@ -107,12 +108,14 @@ const T1ContextTables& t1_context_tables() {
   return tables;
 }
 
-std::uint32_t block_prescan(Span2d<const Sample> coeffs, std::uint32_t* mag,
-                            T1Flags* flags) {
+int block_prescan(Span2d<const Sample> coeffs, std::uint32_t* mag,
+                  T1Flags* flags) {
   const std::size_t w = coeffs.width();
   const std::size_t h = coeffs.height();
-  nv::I4 vmax = nv::splat(Sample{0});
-  std::uint32_t maxmag = 0;
+  // OR of every magnitude: its bit width is the largest one's, and only
+  // INT32_MIN's magnitude has bit 31 set.
+  nv::I4 vall = nv::splat(Sample{0});
+  std::uint32_t all = 0;
   for (std::size_t y = 0; y < h; ++y) {
     const Sample* row = coeffs.row(y);
     auto* mrow = mag ? reinterpret_cast<std::int32_t*>(mag + y * w) : nullptr;
@@ -120,13 +123,13 @@ std::uint32_t block_prescan(Span2d<const Sample> coeffs, std::uint32_t* mag,
     for (; x + 4 <= w; x += 4) {
       const nv::I4 m = nv::abs(nv::load(row + x));
       if (mrow) nv::store(mrow + x, m);
-      vmax = nv::max(m, vmax);
+      vall = nv::or_(m, vall);
     }
     for (; x < w; ++x) {
-      const std::uint32_t m =
-          static_cast<std::uint32_t>(row[x] < 0 ? -row[x] : row[x]);
+      const auto v = static_cast<std::uint32_t>(row[x]);
+      const std::uint32_t m = row[x] < 0 ? 0u - v : v;
       if (mrow) mrow[x] = static_cast<std::int32_t>(m);
-      if (m > maxmag) maxmag = m;
+      all |= m;
     }
     // The sign bit of each flag word, straight from the coefficient's.
     if (flags) {
@@ -137,11 +140,12 @@ std::uint32_t block_prescan(Span2d<const Sample> coeffs, std::uint32_t* mag,
     }
   }
   std::int32_t lanes[4];
-  nv::store(lanes, vmax);
-  for (const std::int32_t l : lanes) {
-    maxmag = std::max(maxmag, static_cast<std::uint32_t>(l));
-  }
-  return maxmag;
+  nv::store(lanes, vall);
+  for (const std::int32_t l : lanes) all |= static_cast<std::uint32_t>(l);
+  CJ2K_CHECK_MSG((all >> 31) == 0,
+                 "code block holds INT32_MIN, whose magnitude has no int32 "
+                 "form");
+  return std::bit_width(all);
 }
 
 }  // namespace cj2k::jp2k

@@ -198,15 +198,17 @@ struct T1Flags {
   std::vector<std::uint32_t> cells;
 };
 
-/// Block prescan shared by both block coders: returns the maximum
-/// |coefficient|, which fixes the block's bit-plane count.  The EBCOT coder
+/// Block prescan shared by both block coders: returns the block's bit-plane
+/// count, the bit width of its largest |coefficient| (0 for an all-zero
+/// block).  The EBCOT coder
 /// also passes `mag`, filled with |coeffs(y,x)| at y*width+x, and `flags`,
 /// whose words get kFlagSign on every negative sample; the HT coder passes
-/// neither.  Vectorized on host SIMD (common/native_simd.hpp).  Tier-1
-/// timing is a replay of symbol counts, so the prescan charges no counters.
-std::uint32_t block_prescan(Span2d<const Sample> coeffs,
-                            std::uint32_t* mag = nullptr,
-                            T1Flags* flags = nullptr);
+/// neither.  A block holding INT32_MIN, whose magnitude has no int32 form,
+/// fails a CJ2K_CHECK.  Vectorized on host SIMD (common/native_simd.hpp).
+/// Tier-1 timing is a replay of symbol counts, so the prescan charges no
+/// counters.
+int block_prescan(Span2d<const Sample> coeffs, std::uint32_t* mag = nullptr,
+                  T1Flags* flags = nullptr);
 
 /// Height of the Tier-1 scan stripe.
 inline constexpr std::size_t kStripeHeight = 4;

@@ -26,9 +26,7 @@ class BlockEncoder {
         mag_(w_ * h_) {
     CJ2K_CHECK_MSG(w_ >= 1 && w_ <= 1024 && h_ >= 1 && h_ <= 1024,
                    "code block dimensions out of range");
-    const std::uint32_t maxmag = block_prescan(coeffs, mag_.data(), &flags_);
-    num_planes_ = 0;
-    while (maxmag >> num_planes_) ++num_planes_;
+    num_planes_ = block_prescan(coeffs, mag_.data(), &flags_);
   }
 
   T1EncodedBlock run() {

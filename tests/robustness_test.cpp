@@ -4,10 +4,15 @@
 // invariant.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+
 #include "cell/machine.hpp"
 #include "cellenc/stage_dwt.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "image/synth.hpp"
+#include "jp2k/codestream.hpp"
 #include "jp2k/decoder.hpp"
 #include "jp2k/encoder.hpp"
 
@@ -88,6 +93,53 @@ TEST(Fuzz, LossyStreamCorruptionNeverCrashes) {
     }
   }
   SUCCEED();
+}
+
+/// Overwrites the big-endian u32 at `pos`.
+void put_u32(std::vector<std::uint8_t>& bytes, std::size_t pos,
+             std::uint32_t v) {
+  for (int k = 0; k < 4; ++k) {
+    bytes[pos + k] = static_cast<std::uint8_t>(v >> (8 * (3 - k)));
+  }
+}
+
+// The codec writes and reads images up to kMaxSamples samples.  A SIZ
+// declaring more must be refused with CodestreamError before the decoder
+// sizes anything from it, not reach an allocation, and the writer must
+// refuse to produce one.
+TEST(Fuzz, OversizedSizIsRejectedBeforeAllocation) {
+  static_assert(jp2k::within_max_samples(1u << 14, 1u << 14, 1));
+  static_assert(!jp2k::within_max_samples(1u << 14, (1u << 14) + 1, 1));
+  static_assert(jp2k::within_max_samples(9459, 9459, 3));
+  static_assert(!jp2k::within_max_samples(9459, 9460, 3));
+  static_assert(!jp2k::within_max_samples(0xFFFFFFFFu, 0xFFFFFFFFu, 16384));
+
+  const Image img = synth::photographic(32, 32, 1, 29);
+  jp2k::CodingParams p;
+  p.levels = 2;
+  const auto good = jp2k::encode(img, p);
+  // SOC, SIZ marker and length, then Xsiz @6, Ysiz @10, Csiz @14, depth
+  // @16, XTsiz @17, YTsiz @21.  Each case is one tile the size of the image.
+  ASSERT_EQ(good[2], 0xFF);
+  ASSERT_EQ(good[3], 0x51);
+  for (const auto& [w, h] : {std::pair<std::uint32_t, std::uint32_t>{
+                                 0xFFFFFFFFu, 0xFFFFFFFFu},
+                             {1u << 30, 1u << 30},
+                             {1u << 14, (1u << 14) + 1}}) {
+    auto bad = good;
+    put_u32(bad, 6, w);
+    put_u32(bad, 10, h);
+    put_u32(bad, 17, w);
+    put_u32(bad, 21, h);
+    EXPECT_THROW((void)jp2k::decode(bad), CodestreamError) << w << "x" << h;
+  }
+
+  jp2k::StreamHeader hdr;
+  hdr.width = hdr.tile_w = std::size_t{1} << 14;
+  hdr.height = hdr.tile_h = (std::size_t{1} << 14) + 1;
+  hdr.components = 1;
+  EXPECT_THROW((void)jp2k::write_codestream(hdr, {jp2k::TilePart{}}),
+               InvalidArgument);
 }
 
 TEST(ConstantLocalStore, DwtFootprintIsIndependentOfImageHeight) {

@@ -2,10 +2,12 @@
 // roundtrip across sizes/orientations/content, pass structure, truncation.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,6 +16,7 @@
 #include "common/rng.hpp"
 #include "common/sha256.hpp"
 #include "image/image.hpp"
+#include "jp2k/ht_block.hpp"
 #include "jp2k/t1_decoder.hpp"
 #include "jp2k/t1_encoder.hpp"
 
@@ -684,7 +687,7 @@ TEST(T1Prescan, SimdMatchesScalarPrescan) {
 
     T1Flags flags(w, h);
     std::vector<std::uint32_t> mag(w * h, 0xDEADBEEF);
-    const std::uint32_t maxmag = block_prescan(view, mag.data(), &flags);
+    const int planes = block_prescan(view, mag.data(), &flags);
 
     std::uint32_t ref_max = 0;
     for (std::size_t y = 0; y < h; ++y) {
@@ -696,8 +699,8 @@ TEST(T1Prescan, SimdMatchesScalarPrescan) {
         if (m > ref_max) ref_max = m;
       }
     }
-    EXPECT_EQ(maxmag, ref_max) << w << "x" << h;
-    EXPECT_EQ(block_prescan(view), ref_max) << w << "x" << h;
+    EXPECT_EQ(planes, std::bit_width(ref_max)) << w << "x" << h;
+    EXPECT_EQ(block_prescan(view), planes) << w << "x" << h;
   }
 
   // The all-zero block: both forms report zero and flag nothing.
@@ -706,9 +709,29 @@ TEST(T1Prescan, SimdMatchesScalarPrescan) {
   Span2d<const Sample> zview(zeros.data(), 12, 9, 12);
   T1Flags zflags(12, 9);
   std::vector<std::uint32_t> zmag(12 * 9);
-  EXPECT_EQ(block_prescan(zview, zmag.data(), &zflags), 0u);
-  EXPECT_EQ(block_prescan(zview), 0u);
+  EXPECT_EQ(block_prescan(zview, zmag.data(), &zflags), 0);
+  EXPECT_EQ(block_prescan(zview), 0);
   for (const std::uint32_t f : zflags.cells) EXPECT_EQ(f, 0u);
+}
+
+// INT32_MIN has no int32 magnitude: a block holding it must fail the
+// shared prescan's check in either coder, whether the value sits in a SIMD
+// lane or in the scalar tail, rather than code as an all-zero block.
+TEST(T1Prescan, Int32MinFailsBothCoders) {
+  for (const std::size_t x : {std::size_t{1}, std::size_t{4}}) {
+    std::vector<Sample> b(5 * 4, 3);
+    b[2 * 5 + x] = std::numeric_limits<Sample>::min();
+    const Span2d<const Sample> view(b.data(), 5, 4);
+    EXPECT_THROW((void)block_prescan(view), Error) << x;
+    EXPECT_THROW((void)ht_encode_block(view), Error) << x;
+    EXPECT_THROW((void)t1_encode_block(view, SubbandOrient::LL), Error) << x;
+  }
+  // The largest magnitude that does fit still codes.
+  std::vector<Sample> b(4 * 4, 0);
+  b[5] = -std::numeric_limits<Sample>::max();
+  const Span2d<const Sample> view(b.data(), 4, 4);
+  EXPECT_EQ(block_prescan(view), 31);
+  EXPECT_EQ(ht_encode_block(view).num_bitplanes, 31);
 }
 
 }  // namespace
