@@ -8,6 +8,7 @@
 #include "bench_common.hpp"
 #include "jp2k/encoder.hpp"
 #include "jp2k/ht_block.hpp"
+#include "jp2k/mq_encoder.hpp"
 #include "jp2k/t1_encoder.hpp"
 
 namespace {
@@ -62,9 +63,27 @@ std::vector<Sample> photographic_block(std::size_t cb) {
   return block;
 }
 
+/// Wall nanoseconds since `t0`.
+double ns_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::nano>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+/// Sets the EBCOT benches' counters: items/s counts samples, ns_per_symbol
+/// divides the wall time by the MQ decisions of one block.
+void t1_counters(benchmark::State& state, std::size_t cb, double ns,
+                 std::uint64_t symbols) {
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(cb * cb));
+  state.counters["ns_per_symbol"] =
+      ns / (static_cast<double>(state.iterations()) *
+            static_cast<double>(symbols));
+}
+
 // Host cost of one EBCOT block encode, per orientation (the ZC table
-// differs per band): items/s counts samples, ns_per_symbol divides the wall
-// time by the MQ decisions coded.
+// differs per band).  Single runs of it spread widely on a shared host, so
+// it runs repeated and reports aggregates: compare medians.
 void BM_T1Block(benchmark::State& state) {
   const auto cb = static_cast<std::size_t>(state.range(0));
   const auto orient = static_cast<jp2k::SubbandOrient>(state.range(1));
@@ -77,18 +96,67 @@ void BM_T1Block(benchmark::State& state) {
     benchmark::DoNotOptimize(enc.data.data());
     symbols = enc.total_symbols;
   }
-  const double ns = std::chrono::duration<double, std::nano>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(cb * cb));
-  state.counters["ns_per_symbol"] =
-      ns / (static_cast<double>(state.iterations()) *
-            static_cast<double>(symbols));
+  t1_counters(state, cb, ns_since(t0), symbols);
 }
 BENCHMARK(BM_T1Block)
     ->ArgsProduct({{16, 32, 64}, {0, 1, 2, 3}})
     ->ArgNames({"cb", "orient"})
+    ->Repetitions(5)
+    ->ReportAggregatesOnly(true)
+    ->Unit(benchmark::kMicrosecond);
+
+// The two halves of BM_T1Block on 64x64 blocks.  BM_T1Model runs the
+// context-modelling loops alone (it also copies each pass's symbols out of
+// the buffer); BM_MqCode runs the MQ loop over the recorded symbols of the
+// same block.
+void BM_T1Model(benchmark::State& state) {
+  const std::size_t cb = 64;
+  const auto orient = static_cast<jp2k::SubbandOrient>(state.range(0));
+  const std::vector<Sample> block = photographic_block(cb);
+  std::uint64_t symbols = 0;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    auto sym = jp2k::t1_model_block(
+        Span2d<const Sample>(block.data(), cb, cb), orient);
+    benchmark::DoNotOptimize(sym.bytes.data());
+    benchmark::ClobberMemory();
+    symbols = sym.bytes.size();
+  }
+  t1_counters(state, cb, ns_since(t0), symbols);
+}
+BENCHMARK(BM_T1Model)
+    ->DenseRange(0, 3)
+    ->ArgName("orient")
+    ->Repetitions(5)
+    ->ReportAggregatesOnly(true)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_MqCode(benchmark::State& state) {
+  const std::size_t cb = 64;
+  const auto orient = static_cast<jp2k::SubbandOrient>(state.range(0));
+  const std::vector<Sample> block = photographic_block(cb);
+  const jp2k::T1Symbols sym = jp2k::t1_model_block(
+      Span2d<const Sample>(block.data(), cb, cb), orient);
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    jp2k::MqEncoder mq;
+    jp2k::T1ContextBank ctx;
+    std::size_t at = 0;
+    for (const std::size_t n : sym.pass_sizes) {
+      mq.code({sym.bytes.data() + at, n}, ctx.data());
+      at += n;
+    }
+    mq.flush();
+    benchmark::DoNotOptimize(mq.bytes().data());
+    benchmark::ClobberMemory();
+  }
+  t1_counters(state, cb, ns_since(t0), sym.bytes.size());
+}
+BENCHMARK(BM_MqCode)
+    ->DenseRange(0, 3)
+    ->ArgName("orient")
+    ->Repetitions(5)
+    ->ReportAggregatesOnly(true)
     ->Unit(benchmark::kMicrosecond);
 
 // Host cost of one HT block encode on the same content: ns_per_sample
@@ -102,9 +170,7 @@ void BM_HtBlock(benchmark::State& state) {
         jp2k::ht_encode_block(Span2d<const Sample>(block.data(), cb, cb));
     benchmark::DoNotOptimize(enc.data.data());
   }
-  const double ns = std::chrono::duration<double, std::nano>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
+  const double ns = ns_since(t0);
   const auto samples = static_cast<std::int64_t>(state.iterations()) *
                        static_cast<std::int64_t>(cb * cb);
   state.SetItemsProcessed(samples);

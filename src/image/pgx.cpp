@@ -31,7 +31,8 @@ Image read(const std::string& path) {
   std::string tok;
   hdr >> tok;
   const auto parse_depth = [&](const std::string& t) -> unsigned {
-    if (t.empty() ||
+    // Depths are at most 2 digits; a longer run would overflow stoul.
+    if (t.empty() || t.size() > 2 ||
         !std::all_of(t.begin(), t.end(),
                      [](unsigned char c) { return std::isdigit(c); })) {
       throw IoError("malformed PGX depth field: " + path);

@@ -52,6 +52,7 @@ Image read(const std::string& path) {
   if (maxval == 0 || maxval > 255) {
     throw IoError("only 8-bit PNM is supported: " + path);
   }
+  if (w == 0 || h == 0) throw IoError("empty PNM geometry: " + path);
 
   require_pixel_bytes(in, w, components, h, path);
   Image img(w, h, components, 8);

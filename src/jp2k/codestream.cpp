@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "common/align.hpp"
 #include "common/error.hpp"
 #include "jp2k/tile_grid.hpp"
 
@@ -80,7 +81,7 @@ class ByteReader {
   }
   std::size_t pos() const { return pos_; }
   void seek(std::size_t p) {
-    CJ2K_CHECK_MSG(p <= n_, "seek past end of codestream");
+    if (p > n_) throw CodestreamError("segment runs past end of codestream");
     pos_ = p;
   }
 
@@ -252,6 +253,13 @@ StreamHeader parse_codestream(const std::vector<std::uint8_t>& bytes,
         // Bound the image before anything is sized from it.
         if (!within_max_samples(hdr.width, hdr.height, hdr.components)) {
           throw CodestreamError("SIZ declares more than kMaxSamples samples");
+        }
+        // Isot is 16 bits: a grid of more tiles has no valid tile-parts.
+        // (Within kMaxSamples the tile count cannot overflow.)
+        if (ceil_div(hdr.width, hdr.tile_w) *
+                ceil_div(hdr.height, hdr.tile_h) >
+            65535) {
+          throw CodestreamError("SIZ tile grid exceeds 65535 tiles");
         }
         saw_siz = true;
         break;

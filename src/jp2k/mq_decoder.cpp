@@ -2,81 +2,42 @@
 
 namespace cj2k::jp2k {
 
+namespace {
+
+std::uint8_t byte_at(const std::uint8_t* data, std::size_t size,
+                     std::size_t i) {
+  return i < size ? data[i] : 0xFF;
+}
+
+}  // namespace
+
 void MqDecoder::init(const std::uint8_t* data, std::size_t size) {
   data_ = data;
   size_ = size;
-  bp_ = 0;
-  c_ = static_cast<std::uint32_t>(byte_at(0)) << 16;
-  bytein();
-  c_ <<= 7;
-  ct_ -= 7;
+  const ByteIn r = bytein(data, size, 0,
+                          static_cast<std::uint32_t>(byte_at(data, size, 0))
+                              << 16);
+  bp_ = r.bp;
+  c_ = r.c << 7;
+  ct_ = r.ct - 7;
   a_ = 0x8000;
 }
 
-void MqDecoder::bytein() {
-  // Annex C, Figure C.17.
-  if (byte_at(bp_) == 0xFF) {
-    if (byte_at(bp_ + 1) > 0x8F) {
+MqDecoder::ByteIn MqDecoder::bytein(const std::uint8_t* data,
+                                    std::size_t size, std::size_t bp,
+                                    std::uint32_t c) {
+  if (byte_at(data, size, bp) == 0xFF) {
+    if (byte_at(data, size, bp + 1) > 0x8F) {
       // A marker (or the end of data): feed 1-bits without consuming.
-      c_ += 0xFF00;
-      ct_ = 8;
-    } else {
-      ++bp_;
-      c_ += static_cast<std::uint32_t>(byte_at(bp_)) << 9;
-      ct_ = 7;
+      return {bp, c + 0xFF00, 8};
     }
-  } else {
-    ++bp_;
-    c_ += static_cast<std::uint32_t>(byte_at(bp_)) << 8;
-    ct_ = 8;
+    ++bp;
+    return {bp, c + (static_cast<std::uint32_t>(byte_at(data, size, bp)) << 9),
+            7};
   }
-}
-
-void MqDecoder::renorm() {
-  do {
-    if (ct_ == 0) bytein();
-    a_ <<= 1;
-    c_ <<= 1;
-    --ct_;
-  } while ((a_ & 0x8000) == 0);
-}
-
-int MqDecoder::decode(MqContext& cx) {
-  const MqStateRow& st = kMqTable[cx.index];
-  const std::uint32_t qe = st.qe;
-  int d;
-
-  a_ -= qe;
-  if (((c_ >> 16) & 0xFFFF) < qe) {
-    // LPS exchange path (Figure C.16 right side).
-    if (a_ < qe) {
-      d = cx.mps;  // MPS exchange: conditional swap of senses.
-      cx.index = st.nmps;
-    } else {
-      d = 1 - cx.mps;
-      if (st.sw) cx.mps ^= 1;
-      cx.index = st.nlps;
-    }
-    a_ = qe;
-    renorm();
-  } else {
-    c_ -= static_cast<std::uint32_t>(qe) << 16;
-    if ((a_ & 0x8000) == 0) {
-      // MPS exchange path.
-      if (a_ < qe) {
-        d = 1 - cx.mps;
-        if (st.sw) cx.mps ^= 1;
-        cx.index = st.nlps;
-      } else {
-        d = cx.mps;
-        cx.index = st.nmps;
-      }
-      renorm();
-    } else {
-      d = cx.mps;
-    }
-  }
-  return d;
+  ++bp;
+  return {bp, c + (static_cast<std::uint32_t>(byte_at(data, size, bp)) << 8),
+          8};
 }
 
 }  // namespace cj2k::jp2k

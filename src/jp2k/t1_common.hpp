@@ -47,6 +47,7 @@ class T1ContextBank {
   }
 
   MqContext& operator[](int i) { return ctx_[static_cast<std::size_t>(i)]; }
+  MqContext* data() { return ctx_; }
 
  private:
   MqContext ctx_[kNumT1Contexts];
@@ -149,6 +150,13 @@ inline std::uint32_t sc_index(std::uint32_t f) {
 /// insignificant, with a significant neighbour.
 inline bool spp_candidate(std::uint32_t f) {
   return (f & kNbrSigMask) != 0 && (f & kFlagSig) == 0;
+}
+
+/// Nonzero if the sample with flag word `f` is significant or was visited by
+/// this plane's significance pass: the cleanup pass has nothing to code.
+inline std::uint32_t cleanup_done(std::uint32_t f) {
+  static_assert(kFlagVisit == kFlagSig << 1, "visit folds onto sig");
+  return (f | f >> 1) & kFlagSig;
 }
 
 /// Magnitude-refinement context of a significant sample's flag word.

@@ -69,77 +69,112 @@ class BlockDecoder {
   }
 
  private:
-  /// Decodes the sign of the sample at (y0 + j, x) and makes it significant
-  /// with magnitude bit p set.
-  void decode_sign(std::size_t y0, std::size_t j, std::size_t x, int p) {
-    std::uint32_t* f = &flags_.at(y0 + j, x);
+  /// Decodes the sign of the sample at `f` (magnitude word `m`, row `row`
+  /// of its stripe) and makes it significant with magnitude bit p set.
+  void decode_sign(MqDecoder& mq, std::uint32_t* f, std::uint32_t* m,
+                   std::size_t row, int p) {
     const std::uint8_t sc = sc_[sc_index(*f)];
-    const auto bit = static_cast<std::uint32_t>(mq_.decode(ctx_[sc >> 1]));
+    const auto bit = static_cast<std::uint32_t>(mq.decode(ctx_[sc >> 1]));
     *f |= (bit ^ (sc & 1u)) << kFlagSignShift;
-    flags_.set_significant(f, opt_.vertically_causal && j == 0);
-    mag_[(y0 + j) * w_ + x] |= 1u << p;
+    flags_.set_significant(f, opt_.vertically_causal && row == 0);
+    *m |= 1u << p;
   }
 
-  void decode_zc(std::size_t y0, std::size_t j, std::size_t x, int p) {
-    const std::uint32_t f = flags_.at(y0 + j, x);
-    if (mq_.decode(ctx_[zc_[f & kNbrSigMask]])) decode_sign(y0, j, x, p);
+  void decode_zc(MqDecoder& mq, std::uint32_t* f, std::uint32_t* m,
+                 std::size_t row, int p) {
+    if (mq.decode(ctx_[zc_[*f & kNbrSigMask]])) decode_sign(mq, f, m, row, p);
   }
 
+  /// The passes walk stripe columns like the encoder's and skip the same
+  /// columns; each stripe decodes through a local copy of the decoder.
   void significance_pass(int p) {
+    const std::size_t s = flags_.stride;
     for (std::size_t y0 = 0; y0 < h_; y0 += kStripeHeight) {
       const std::size_t n = std::min(kStripeHeight, h_ - y0);
-      for (std::size_t x = 0; x < w_; ++x) {
+      std::uint32_t* col = &flags_.at(y0, 0);
+      std::uint32_t* mcol = &mag_[y0 * w_];
+      MqDecoder mq = mq_;
+      for (std::size_t x = 0; x < w_; ++x, ++col, ++mcol) {
+        if (n == kStripeHeight &&
+            !(spp_candidate(col[0]) | spp_candidate(col[s]) |
+              spp_candidate(col[2 * s]) | spp_candidate(col[3 * s]))) {
+          continue;
+        }
         for (std::size_t j = 0; j < n; ++j) {
-          const std::uint32_t f = flags_.at(y0 + j, x);
-          if (!spp_candidate(f)) continue;
-          decode_zc(y0, j, x, p);
-          flags_.at(y0 + j, x) |= kFlagVisit;
+          std::uint32_t* f = col + j * s;
+          if (!spp_candidate(*f)) continue;
+          decode_zc(mq, f, mcol + j * w_, j, p);
+          *f |= kFlagVisit;
         }
       }
+      mq_ = mq;
     }
   }
 
   void refinement_pass(int p) {
+    const std::size_t s = flags_.stride;
     for (std::size_t y0 = 0; y0 < h_; y0 += kStripeHeight) {
       const std::size_t n = std::min(kStripeHeight, h_ - y0);
-      for (std::size_t x = 0; x < w_; ++x) {
+      std::uint32_t* col = &flags_.at(y0, 0);
+      std::uint32_t* mcol = &mag_[y0 * w_];
+      MqDecoder mq = mq_;
+      for (std::size_t x = 0; x < w_; ++x, ++col, ++mcol) {
+        if (n == kStripeHeight &&
+            !((col[0] | col[s] | col[2 * s] | col[3 * s]) & kFlagSig)) {
+          continue;  // no significant sample to refine
+        }
         for (std::size_t j = 0; j < n; ++j) {
-          std::uint32_t& f = flags_.at(y0 + j, x);
-          if ((f & (kFlagSig | kFlagVisit)) != kFlagSig) continue;
-          if (mq_.decode(ctx_[mr_context(f)])) {
-            mag_[(y0 + j) * w_ + x] |= 1u << p;
-          }
-          f |= kFlagRefined;
+          std::uint32_t* f = col + j * s;
+          if ((*f & (kFlagSig | kFlagVisit)) != kFlagSig) continue;
+          mcol[j * w_] |=
+              static_cast<std::uint32_t>(mq.decode(ctx_[mr_context(*f)])) << p;
+          *f |= kFlagRefined;
         }
       }
+      mq_ = mq;
     }
   }
 
   void cleanup_pass(int p) {
+    const std::size_t s = flags_.stride;
     for (std::size_t y0 = 0; y0 < h_; y0 += kStripeHeight) {
       const std::size_t n = std::min(kStripeHeight, h_ - y0);
-      for (std::size_t x = 0; x < w_; ++x) {
+      std::uint32_t* col = &flags_.at(y0, 0);
+      std::uint32_t* mcol = &mag_[y0 * w_];
+      MqDecoder mq = mq_;
+      for (std::size_t x = 0; x < w_; ++x, ++col, ++mcol) {
         std::size_t j = 0;
         if (n == kStripeHeight) {
-          std::uint32_t any = 0;
-          for (std::size_t k = 0; k < n; ++k) any |= flags_.at(y0 + k, x);
-          if (!(any & (kFlagSig | kFlagVisit | kNbrSigMask))) {
-            if (mq_.decode(ctx_[kCtxRunLength]) == 0) continue;
-            j = static_cast<std::size_t>(mq_.decode(ctx_[kCtxUniform])) << 1;
-            j |= static_cast<std::size_t>(mq_.decode(ctx_[kCtxUniform]));
-            decode_sign(y0, j, x, p);
+          const std::uint32_t f0 = col[0], f1 = col[s], f2 = col[2 * s],
+                              f3 = col[3 * s];
+          if (cleanup_done(f0) & cleanup_done(f1) & cleanup_done(f2) &
+              cleanup_done(f3)) {
+            // Every sample significant or visited by this plane's SPP.
+            col[0] = f0 & ~kFlagVisit;
+            col[s] = f1 & ~kFlagVisit;
+            col[2 * s] = f2 & ~kFlagVisit;
+            col[3 * s] = f3 & ~kFlagVisit;
+            continue;
+          }
+          if (!((f0 | f1 | f2 | f3) &
+                (kFlagSig | kFlagVisit | kNbrSigMask))) {
+            if (mq.decode(ctx_[kCtxRunLength]) == 0) continue;
+            j = static_cast<std::size_t>(mq.decode(ctx_[kCtxUniform])) << 1;
+            j |= static_cast<std::size_t>(mq.decode(ctx_[kCtxUniform]));
+            decode_sign(mq, col + j * s, mcol + j * w_, j, p);
             ++j;
           }
         }
         for (; j < n; ++j) {
-          std::uint32_t& f = flags_.at(y0 + j, x);
-          if (f & kFlagVisit) {
-            f &= ~kFlagVisit;
-          } else if (!(f & kFlagSig)) {
-            decode_zc(y0, j, x, p);
+          std::uint32_t* f = col + j * s;
+          if (*f & kFlagVisit) {
+            *f &= ~kFlagVisit;
+          } else if (!(*f & kFlagSig)) {
+            decode_zc(mq, f, mcol + j * w_, j, p);
           }
         }
       }
+      mq_ = mq;
     }
   }
 

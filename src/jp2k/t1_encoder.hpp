@@ -4,6 +4,10 @@
 // control, and instrumentation counts for the Cell/P4 cost models.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
+#include <vector>
+
 #include "common/span2d.hpp"
 #include "image/image.hpp"
 #include "jp2k/t1_common.hpp"
@@ -18,5 +22,17 @@ namespace cj2k::jp2k {
 T1EncodedBlock t1_encode_block(Span2d<const Sample> coeffs,
                                SubbandOrient orient,
                                const T1Options& options = {});
+
+/// The context-modelling half of t1_encode_block on its own: every pass's
+/// symbols, one byte per MQ decision (context << 1 | decision), in coding
+/// order.  MqEncoder::code over each pass's bytes, with the contexts reset
+/// before each pass under RESET, then MqEncoder::flush, gives the block's
+/// codeword.  For measuring and testing the two halves separately.
+struct T1Symbols {
+  std::vector<std::uint8_t> bytes;
+  std::vector<std::size_t> pass_sizes;  ///< Bytes of each pass, in order.
+};
+T1Symbols t1_model_block(Span2d<const Sample> coeffs, SubbandOrient orient,
+                         const T1Options& options = {});
 
 }  // namespace cj2k::jp2k

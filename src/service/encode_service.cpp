@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <numeric>
+#include <exception>
 #include <utility>
 
 #include "common/error.hpp"
@@ -106,6 +106,8 @@ ServiceResult EncodeService::run() {
   // job.  Per-job tracing is disabled (the service owns the trace);
   // everything else in the job's PipelineOptions applies as submitted.
   std::vector<cellenc::PipelineResult> plans(n);
+  std::vector<std::string> errors(n);
+  std::vector<char> failed(n, 0);
   JobQueue queue;
   for (std::size_t id = 0; id < n; ++id) queue.push(id);
   queue.close();
@@ -123,20 +125,28 @@ ServiceResult EncodeService::run() {
       cellenc::PipelineOptions popt = job.pipeline;
       popt.trace.enabled = false;
       cell::AuditJobScope jscope(static_cast<int>(id));
-      plans[id] = enc.encode(*job.image, job.params, popt);
+      // One job's failure is that job's result, not the batch's.
+      try {
+        plans[id] = enc.encode(*job.image, job.params, popt);
+      } catch (const std::exception& e) {
+        failed[id] = 1;
+        errors[id] = e.what();
+      }
     }
   });
 
-  // --- The virtual service schedule over the per-job item lists.
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
+  // --- The virtual service schedule over the successful jobs' item lists.
+  std::vector<std::size_t> order;
+  for (std::size_t id = 0; id < n; ++id) {
+    if (!failed[id]) order.push_back(id);
+  }
   std::stable_sort(order.begin(), order.end(),
                    [&](std::size_t a, std::size_t b) {
                      return jobs_[a].arrival_seconds <
                             jobs_[b].arrival_seconds;
                    });
-  std::vector<ServiceJobSpec> specs(n);
-  for (std::size_t k = 0; k < n; ++k) {
+  std::vector<ServiceJobSpec> specs(order.size());
+  for (std::size_t k = 0; k < order.size(); ++k) {
     const std::size_t id = order[k];
     specs[k].arrival = jobs_[id].arrival_seconds;
     specs[k].items = plans[id].tile_items;
@@ -159,14 +169,23 @@ ServiceResult EncodeService::run() {
   res.metrics.set("service.group_spes", static_cast<double>(res.group_spes));
   res.metrics.set("service.unused_spes",
                   static_cast<double>(pool.unused_spes()));
+  res.metrics.set("service.failed_jobs",
+                  static_cast<double>(n - order.size()));
 
   res.jobs.resize(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t id = order[k];
+  for (std::size_t id = 0; id < n; ++id) {
     JobResult& jr = res.jobs[id];
     jr.id = id;
     jr.name = jobs_[id].name;
-    jr.arrival_seconds = sched.jobs[k].arrival;
+    jr.arrival_seconds = jobs_[id].arrival_seconds;
+    if (failed[id]) {
+      jr.status = JobStatus::kFailed;
+      jr.error = std::move(errors[id]);
+    }
+  }
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const std::size_t id = order[k];
+    JobResult& jr = res.jobs[id];
     jr.queue_wait_seconds = sched.jobs[k].queue_wait();
     jr.service_seconds = sched.jobs[k].service_time();
     jr.latency_seconds = sched.jobs[k].latency();

@@ -63,10 +63,17 @@ struct EncodeJob {
   double arrival_seconds = 0;  ///< Open-loop arrival on the virtual clock.
 };
 
-/// Per-job outcome: the full pipeline result plus the service timing.
+/// Whether a job's encode finished.  A failed job keeps its error and is
+/// left out of the service schedule; the rest of the batch is unaffected.
+enum class JobStatus { kOk, kFailed };
+
+/// Per-job outcome: the full pipeline result plus the service timing.  A
+/// failed job has only its id, name, arrival, status and error set.
 struct JobResult {
   std::size_t id = 0;          ///< Submission id.
   std::string name;
+  JobStatus status = JobStatus::kOk;
+  std::string error;           ///< What the failed encode threw.
   double arrival_seconds = 0;
   double queue_wait_seconds = 0;
   double service_seconds = 0;  ///< Admission to completion.
@@ -78,7 +85,7 @@ struct JobResult {
 
 struct ServiceResult {
   std::vector<JobResult> jobs;        ///< In submission-id order.
-  ServiceSummary summary;
+  ServiceSummary summary;             ///< Over the successful jobs.
   double makespan_seconds = 0;
   std::size_t groups = 0;
   int group_spes = 0;
@@ -100,8 +107,9 @@ class EncodeService {
   bool stealing_enabled() const;
 
   /// Encodes every submitted job (concurrently, on one-group leases) and
-  /// replays the service schedule.  Throws the first worker exception
-  /// (e.g. a strict-audit AuditError) after all workers join.
+  /// replays the service schedule of the jobs that succeeded.  A job whose
+  /// encode throws (an invalid job, a strict-audit AuditError) is recorded
+  /// as failed with the exception's message; the other jobs still run.
   ServiceResult run();
 
  private:

@@ -1,16 +1,25 @@
-// Robustness: corrupted codestreams must fail cleanly (throw cj2k::Error)
-// or decode to *some* image — never crash, hang, or exhaust memory.  Also
+// Robustness: corrupted codestreams and image files must fail cleanly
+// (throw cj2k::Error) or decode to *some* image — never crash, hang, or
+// exhaust memory.  Also
 // exercises the paper's §2 constant-Local-Store property as an executable
 // invariant.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
 #include <utility>
 
 #include "cell/machine.hpp"
 #include "cellenc/stage_dwt.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "image/bmp.hpp"
+#include "image/pgx.hpp"
+#include "image/pnm.hpp"
 #include "image/synth.hpp"
 #include "jp2k/codestream.hpp"
 #include "jp2k/decoder.hpp"
@@ -140,6 +149,136 @@ TEST(Fuzz, OversizedSizIsRejectedBeforeAllocation) {
   hdr.components = 1;
   EXPECT_THROW((void)jp2k::write_codestream(hdr, {jp2k::TilePart{}}),
                InvalidArgument);
+}
+
+// --- Reader and main-header mutation ---------------------------------------
+
+/// One seeded mutation of `bytes`, aimed at its first `header` bytes: a bit
+/// flip, a byte set to a digit, a space or 0xFF, a 32-bit field set to an
+/// extreme, a run of digits spliced in (text headers), or a truncation
+/// anywhere.
+std::vector<std::uint8_t> mutate(std::vector<std::uint8_t> bytes,
+                                 std::size_t header, Rng& rng) {
+  header = std::min(header, bytes.size());
+  const std::size_t pos = rng.next_below(header);
+  switch (rng.next_below(5)) {
+    case 0:
+      bytes[pos] ^= static_cast<std::uint8_t>(1u << rng.next_below(8));
+      break;
+    case 1: {
+      static const std::uint8_t kBytes[] = {'0', '9', ' ', '\n', '#', 0xFF};
+      bytes[pos] = kBytes[rng.next_below(std::size(kBytes))];
+      break;
+    }
+    case 2: {
+      static const std::uint32_t kValues[] = {0, 1, 0x7FFFFFFF, 0x80000000,
+                                              0xFFFFFFFF};
+      const std::uint32_t v = kValues[rng.next_below(std::size(kValues))];
+      for (std::size_t k = 0; k < 4 && pos + k < bytes.size(); ++k) {
+        bytes[pos + k] = static_cast<std::uint8_t>(v >> (8 * k));
+      }
+      break;
+    }
+    case 3: {
+      const std::string digits(1 + rng.next_below(24), '9');
+      bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(pos),
+                   digits.begin(), digits.end());
+      break;
+    }
+    default:
+      bytes.resize(rng.next_below(bytes.size()));
+      break;
+  }
+  return bytes;
+}
+
+std::vector<std::uint8_t> file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+/// Writes a small image with `write`, then reads 300 seeded mutants of the
+/// file back with `read`.  Each must throw IoError or decode to an image of
+/// no more samples than the file has bytes (so nothing was sized from an
+/// unchecked header field); any other exception fails the test.  Both
+/// outcomes must occur.
+template <class Write, class Read>
+void fuzz_reader(const char* name, std::size_t header, std::size_t comps,
+                 Write write, Read read) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / name).string();
+  write(path, synth::photographic(7, 5, comps, 31));
+  const std::vector<std::uint8_t> good = file_bytes(path);
+  Rng rng(good.size() * 977 + header);
+  int threw = 0, decoded = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::vector<std::uint8_t> bad = mutate(good, header, rng);
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(reinterpret_cast<const char*>(bad.data()),
+                static_cast<std::streamsize>(bad.size()));
+    }
+    try {
+      const Image img = read(path);
+      EXPECT_LE(img.width() * img.height() * img.components(), bad.size())
+          << name << " trial " << trial;
+      ++decoded;
+    } catch (const IoError&) {
+      ++threw;
+    }
+  }
+  std::filesystem::remove(path);
+  EXPECT_GT(threw, 0) << name;
+  EXPECT_GT(decoded, 0) << name;
+}
+
+TEST(Fuzz, BmpReaderMutationsFailCleanly) {
+  fuzz_reader("cj2k_fuzz.bmp", 54, 3, bmp::write, bmp::read);
+}
+
+TEST(Fuzz, PnmReaderMutationsFailCleanly) {
+  fuzz_reader("cj2k_fuzz.ppm", 12, 3, pnm::write, pnm::read);
+  fuzz_reader("cj2k_fuzz.pgm", 12, 1, pnm::write, pnm::read);
+}
+
+TEST(Fuzz, PgxReaderMutationsFailCleanly) {
+  fuzz_reader("cj2k_fuzz.pgx", 14, 1, pgx::write, pgx::read);
+}
+
+// Mutants of the main header (SOC up to the first SOT) must parse, with a
+// geometry within kMaxSamples, or throw CodestreamError; any other
+// exception fails the test.
+TEST(Fuzz, MainHeaderMutationsFailCleanly) {
+  const Image img = synth::photographic(24, 16, 3, 37);
+  jp2k::CodingParams p;
+  p.levels = 2;
+  p.tiles_x = 2;
+  const auto good = jp2k::encode(img, p);
+  std::size_t sot = 2;
+  while (sot + 1 < good.size() &&
+         !(good[sot] == 0xFF && good[sot + 1] == 0x90)) {
+    ++sot;
+  }
+  ASSERT_LT(sot + 1, good.size());
+
+  Rng rng(41);
+  int threw = 0, parsed = 0;
+  for (int trial = 0; trial < 500; ++trial) {
+    const std::vector<std::uint8_t> bad = mutate(good, sot, rng);
+    std::vector<jp2k::TilePart> tiles;
+    try {
+      const jp2k::StreamHeader hdr = jp2k::parse_codestream(bad, tiles);
+      EXPECT_TRUE(jp2k::within_max_samples(hdr.width, hdr.height,
+                                           hdr.components))
+          << "trial " << trial;
+      ++parsed;
+    } catch (const CodestreamError&) {
+      ++threw;
+    }
+  }
+  EXPECT_GT(threw, 0);
+  EXPECT_GT(parsed, 0);
 }
 
 TEST(ConstantLocalStore, DwtFootprintIsIndependentOfImageHeight) {

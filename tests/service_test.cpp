@@ -420,6 +420,53 @@ TEST(EncodeServiceTest, JobsAreByteIdenticalToStandaloneEncodes) {
   EXPECT_EQ(res.group_spes, 8);
 }
 
+TEST(EncodeServiceTest, FailingJobDoesNotAbortBatch) {
+  const cell::MachineConfig pool_cfg = config(16, 2, 2);
+  const auto img =
+      std::make_shared<const Image>(synth::photographic(128, 96, 3, 48));
+  const auto params = mixed_params();
+  // An empty tile grid: the encode rejects it.
+  jp2k::CodingParams invalid;
+  invalid.tiles_x = 0;
+  EXPECT_THROW(cellenc::CellEncoder(pool_cfg).encode(*img, invalid), Error);
+
+  ServiceOptions sopt;
+  sopt.machine = pool_cfg;
+  EncodeService svc(sopt);
+  const std::size_t n = 6, bad = 2;
+  for (std::size_t i = 0; i < n; ++i) {
+    EncodeJob job;
+    job.image = img;
+    job.params = i == bad ? invalid : params[i % params.size()];
+    job.arrival_seconds = 0.001 * static_cast<double>(i);
+    svc.submit(std::move(job));
+  }
+  const ServiceResult res = svc.run();
+
+  ASSERT_EQ(res.jobs.size(), n);
+  for (const auto& jr : res.jobs) {
+    if (jr.id == bad) {
+      EXPECT_EQ(jr.status, JobStatus::kFailed);
+      EXPECT_NE(jr.error.find("tile grid"), std::string::npos) << jr.error;
+      EXPECT_TRUE(jr.pipeline.codestream.empty());
+      continue;
+    }
+    EXPECT_EQ(jr.status, JobStatus::kOk) << jr.name;
+    EXPECT_TRUE(jr.error.empty());
+    cellenc::CellEncoder solo(pool_cfg);
+    const auto alone = solo.encode(*img, params[jr.id % params.size()]);
+    EXPECT_EQ(common::sha256_hex(jr.pipeline.codestream),
+              common::sha256_hex(alone.codestream))
+        << jr.name;
+    EXPECT_GT(jr.service_seconds, 0.0);
+  }
+  // The schedule replays only the jobs that ran.
+  EXPECT_EQ(res.summary.jobs, n - 1);
+  EXPECT_DOUBLE_EQ(res.metrics.get("service.failed_jobs"), 1.0);
+  EXPECT_DOUBLE_EQ(res.metrics.get("service.jobs"),
+                   static_cast<double>(n - 1));
+}
+
 TEST(EncodeServiceTest, TraceRecordsTheServiceSchedule) {
   ServiceOptions sopt;
   sopt.machine = config(16, 2, 2);

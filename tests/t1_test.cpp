@@ -2,6 +2,7 @@
 // roundtrip across sizes/orientations/content, pass structure, truncation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdio>
@@ -9,14 +10,17 @@
 #include <iterator>
 #include <limits>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/aligned_buffer.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/sha256.hpp"
 #include "image/image.hpp"
 #include "jp2k/ht_block.hpp"
+#include "jp2k/mq_encoder.hpp"
 #include "jp2k/t1_decoder.hpp"
 #include "jp2k/t1_encoder.hpp"
 
@@ -303,28 +307,70 @@ TEST(T1Options, ResetChangesStreamButNotMuch) {
 
 // --- Pinned encoder output ------------------------------------------------
 
-/// One pin row: block shape, orientation, code-block style and content
-/// class, then the first 16 hex digits of the codeword's SHA-256, the bit
-/// plane count, the symbol count, and the first 16 hex digits of a SHA-256
-/// over every PassInfo field (dist_reduction by its bit pattern).
-std::string pinned_row(std::size_t w, std::size_t h, SubbandOrient orient,
-                       int style, int content) {
+/// One pinned block: the coefficients and code-block style a pin row is
+/// built from.
+struct PinCase {
+  std::size_t w, h;
+  SubbandOrient orient;
+  std::vector<Sample> coeffs;
+  T1Options opt;
+  std::string label;  ///< Shape, orientation, style and content class.
+
+  Span2d<const Sample> view() const {
+    return Span2d<const Sample>(coeffs.data(), w, h);
+  }
+};
+
+PinCase pin_case(std::size_t w, std::size_t h, SubbandOrient orient,
+                 int style, int content) {
   static const char* const kOrient[] = {"LL", "HL", "LH", "HH"};
   static const char* const kStyle[] = {"none", "reset", "vsc", "reset+vsc"};
   static const char* const kContent[] = {"dense", "sparse", "single"};
-  std::vector<Sample> b;
+  PinCase c{w, h, orient, {}, {}, {}};
   const std::uint64_t seed = w * 1009 + h * 31 + static_cast<unsigned>(style);
-  if (content == 0) b = random_block(w, h, 3000, seed, 1);
-  if (content == 1) b = random_block(w, h, 1 << 14, seed, 9);
+  if (content == 0) c.coeffs = random_block(w, h, 3000, seed, 1);
+  if (content == 1) c.coeffs = random_block(w, h, 1 << 14, seed, 9);
   if (content == 2) {
-    b.assign(w * h, 0);
-    b[(h / 2) * w + w / 3] = -1237;
+    c.coeffs.assign(w * h, 0);
+    c.coeffs[(h / 2) * w + w / 3] = -1237;
   }
-  T1Options opt;
-  opt.reset_contexts = (style & 1) != 0;
-  opt.vertically_causal = (style & 2) != 0;
-  const T1EncodedBlock enc =
-      t1_encode_block(Span2d<const Sample>(b.data(), w, h), orient, opt);
+  c.opt.reset_contexts = (style & 1) != 0;
+  c.opt.vertically_causal = (style & 2) != 0;
+  char label[64];
+  std::snprintf(label, sizeof label, "%zux%zu %s %s %s", w, h,
+                kOrient[static_cast<int>(orient)], kStyle[style],
+                kContent[content]);
+  c.label = label;
+  return c;
+}
+
+/// The 288 pinned blocks: every shape, orientation, style and content class.
+std::vector<PinCase> pin_cases() {
+  std::vector<PinCase> cases;
+  for (const auto& [w, h] : {std::pair<std::size_t, std::size_t>{64, 64},
+                            {1, 1},
+                            {3, 70},
+                            {17, 5},
+                            {64, 4},
+                            {33, 31}}) {
+    for (const auto orient : {SubbandOrient::LL, SubbandOrient::HL,
+                              SubbandOrient::LH, SubbandOrient::HH}) {
+      for (int style = 0; style < 4; ++style) {
+        for (int content = 0; content < 3; ++content) {
+          cases.push_back(pin_case(w, h, orient, style, content));
+        }
+      }
+    }
+  }
+  return cases;
+}
+
+/// One pin row: the case label, then the first 16 hex digits of the
+/// codeword's SHA-256, the bit plane count, the symbol count, and the first
+/// 16 hex digits of a SHA-256 over every PassInfo field (dist_reduction by
+/// its bit pattern).
+std::string pinned_row(const PinCase& c) {
+  const T1EncodedBlock enc = t1_encode_block(c.view(), c.orient, c.opt);
 
   std::vector<std::uint8_t> pass_bytes;
   const auto put = [&pass_bytes](std::uint64_t v) {
@@ -342,9 +388,7 @@ std::string pinned_row(std::size_t w, std::size_t h, SubbandOrient orient,
     put(pi.symbols);
   }
   char row[160];
-  std::snprintf(row, sizeof row, "%zux%zu %s %s %s %.16s %d %llu %.16s", w, h,
-                kOrient[static_cast<int>(orient)],
-                kStyle[style], kContent[content],
+  std::snprintf(row, sizeof row, "%s %.16s %d %llu %.16s", c.label.c_str(),
                 common::sha256_hex(enc.data).c_str(), enc.num_bitplanes,
                 static_cast<unsigned long long>(enc.total_symbols),
                 common::sha256_hex(pass_bytes).c_str());
@@ -646,24 +690,695 @@ const char* const kPinnedT1Rows[] = {
 
 TEST(T1Block, EncoderOutputPinned) {
   std::vector<std::string> rows;
-  for (const auto& [w, h] : {std::pair<std::size_t, std::size_t>{64, 64},
-                            {1, 1},
-                            {3, 70},
-                            {17, 5},
-                            {64, 4},
-                            {33, 31}}) {
-    for (const auto orient : {SubbandOrient::LL, SubbandOrient::HL,
-                              SubbandOrient::LH, SubbandOrient::HH}) {
-      for (int style = 0; style < 4; ++style) {
-        for (int content = 0; content < 3; ++content) {
-          rows.push_back(pinned_row(w, h, orient, style, content));
-        }
-      }
-    }
-  }
+  for (const PinCase& c : pin_cases()) rows.push_back(pinned_row(c));
   ASSERT_EQ(rows.size(), std::size(kPinnedT1Rows));
   for (std::size_t i = 0; i < rows.size(); ++i) {
     EXPECT_EQ(rows[i], kPinnedT1Rows[i]) << "row " << i;
+  }
+}
+
+// The symbol buffer holds one pass at 10 decisions per stripe column.  A
+// 1x4 block whose samples all carry the top plane codes exactly that many
+// in its first cleanup pass: run-length, two uniform, the first sign, then
+// ZC and sign for each of the three samples below.  The encode runs on a
+// fresh thread, whose buffer is allocated at exactly 10 bytes, so under
+// ASan a pass that writes one more faults.
+TEST(T1Block, OnePassFillsTheSymbolBufferBoundExactly) {
+  const std::vector<Sample> b = {9, -12, 15, -8};
+  T1EncodedBlock enc;
+  std::thread([&] {
+    enc = t1_encode_block(Span2d<const Sample>(b.data(), 1, 4),
+                          SubbandOrient::LL);
+  }).join();
+  ASSERT_EQ(enc.num_bitplanes, 4);
+  ASSERT_FALSE(enc.passes.empty());
+  EXPECT_EQ(enc.passes[0].type, PassType::kCleanup);
+  EXPECT_EQ(enc.passes[0].symbols, 10u);
+  std::vector<Sample> out(4, 0);
+  t1_decode_block(enc.data.data(), enc.data.size(), enc.num_bitplanes,
+                  static_cast<int>(enc.passes.size()), SubbandOrient::LL,
+                  Span2d<Sample>(out.data(), 1, 4));
+  EXPECT_EQ(out, b);
+}
+
+// The two halves run apart give the same codeword: the recorded symbols,
+// MQ-coded pass by pass (contexts reset before each under RESET).
+TEST(T1Block, ModelThenCodeMatchesEncode) {
+  for (const PinCase& c : pin_cases()) {
+    const T1EncodedBlock enc = t1_encode_block(c.view(), c.orient, c.opt);
+    const T1Symbols sym = t1_model_block(c.view(), c.orient, c.opt);
+    ASSERT_EQ(sym.pass_sizes.size(), enc.passes.size()) << c.label;
+    MqEncoder mq;
+    T1ContextBank ctx;
+    std::size_t at = 0;
+    for (std::size_t i = 0; i < sym.pass_sizes.size(); ++i) {
+      if (c.opt.reset_contexts) ctx.reset();
+      mq.code({sym.bytes.data() + at, sym.pass_sizes[i]}, ctx.data());
+      at += sym.pass_sizes[i];
+      EXPECT_EQ(sym.pass_sizes[i], enc.passes[i].symbols) << c.label;
+    }
+    EXPECT_EQ(at, sym.bytes.size()) << c.label;
+    if (enc.passes.empty()) continue;  // all-zero block: no codeword
+    mq.flush();
+    const auto bytes = mq.bytes();
+    EXPECT_EQ(std::vector<std::uint8_t>(bytes.begin(), bytes.end()), enc.data)
+        << c.label;
+  }
+}
+
+// --- Pinned decoder output ------------------------------------------------
+
+/// The first 16 hex digits of the SHA-256 of the coefficients decoded from
+/// `size` bytes of `data` at `passes` passes, or "throw".
+std::string decoded_digest(const PinCase& c, const T1EncodedBlock& enc,
+                           const std::uint8_t* data, std::size_t size,
+                           int passes) {
+  std::vector<Sample> out(c.w * c.h, Sample{-777});
+  try {
+    t1_decode_block(data, size, enc.num_bitplanes, passes, c.orient,
+                    Span2d<Sample>(out.data(), c.w, c.h), c.opt);
+  } catch (const Error&) {
+    return "throw";
+  }
+  std::vector<std::uint8_t> bytes;
+  bytes.reserve(out.size() * 4);
+  for (const Sample s : out) {
+    const auto u = static_cast<std::uint32_t>(s);
+    for (int k = 0; k < 4; ++k) {
+      bytes.push_back(static_cast<std::uint8_t>(u >> (8 * k)));
+    }
+  }
+  return common::sha256_hex(bytes).substr(0, 16);
+}
+
+/// One decoder pin row: the case label; the first 16 hex digits of a SHA-256
+/// over the decoded digests at every pass boundary, each decode given the
+/// codeword truncated at that pass's trunc_len as Tier-2 would send it; the
+/// digest of one pass past the plane budget ("throw"); then each aimed bit
+/// flip (first byte, the middle pass boundary, last byte) as
+/// position.bit=digest of a full decode.
+std::string decoder_row(const PinCase& c) {
+  const T1EncodedBlock enc = t1_encode_block(c.view(), c.orient, c.opt);
+  const int n = static_cast<int>(enc.passes.size());
+  std::string cuts;
+  for (int k = 0; k <= n; ++k) {
+    const std::size_t len = k == 0 ? 0 : enc.passes[k - 1].trunc_len;
+    cuts += decoded_digest(c, enc, enc.data.data(), len, k) + " ";
+  }
+  std::string row = c.label + " " +
+                    common::sha256_hex(reinterpret_cast<const std::uint8_t*>(
+                                           cuts.data()),
+                                       cuts.size())
+                        .substr(0, 16) +
+                    " " +
+                    decoded_digest(c, enc, enc.data.data(), enc.data.size(),
+                                   n + 1);
+  if (enc.data.empty()) return row;
+  const std::size_t last = enc.data.size() - 1;
+  const std::size_t mid =
+      std::min(last, enc.passes[static_cast<std::size_t>(n / 2)].trunc_len);
+  int bit = 7;
+  for (const std::size_t pos : {std::size_t{0}, mid, last}) {
+    std::vector<std::uint8_t> seg = enc.data;
+    seg[pos] ^= static_cast<std::uint8_t>(1u << bit);
+    row += " " + std::to_string(pos) + "." + std::to_string(bit) + "=" +
+           decoded_digest(c, enc, seg.data(), seg.size(), n);
+    bit -= 3;
+  }
+  return row;
+}
+
+// Captured from the decoder before its stripe-column skips and inline MQ
+// decode; every rewrite of the decoder's passes must keep them.
+const char* const kPinnedT1DecoderRows[] = {
+    "64x64 LL none dense e09c2fbbc2b09b8b throw "
+    "0.7=d741d9cc494eb88e 4063.4=b01ed6b03d194a6c 6749.1=3a53e571f0b6a6e7",
+    "64x64 LL none sparse 890e8ebae4f5aa20 throw "
+    "0.7=8ebacb5e7bc79278 813.4=0d48aa3f75e14c4f 1178.1=724b9372bde25322",
+    "64x64 LL none single bb28eb55f2958b9f throw "
+    "0.7=fd50197ade01e3e8 5.4=b01612a4e0a988df 5.1=86a1661a62c83264",
+    "64x64 LL reset dense 018fd014f8b89569 throw "
+    "0.7=6fc567dd84af95ca 4067.4=8070af0c289756b7 6744.1=9501ea4d2614448d",
+    "64x64 LL reset sparse dbbb709f09663d39 throw "
+    "0.7=57b7a4ebd744c8f7 913.4=8b44a8b6e304954a 1345.1=44322edbc9a1167d",
+    "64x64 LL reset single bb28eb55f2958b9f throw "
+    "0.7=f32892aff95d9eb1 13.4=72f249a1b14c97bb 17.1=ff4dc2c008fd3c8c",
+    "64x64 LL vsc dense 517afac3aa354dc7 throw "
+    "0.7=513726fe975dc270 4065.4=f8f64802d59044df 6739.1=8e98c45fc9a78513",
+    "64x64 LL vsc sparse 4501d5df58237686 throw "
+    "0.7=f33ba1ce3fd5bb98 854.4=11f57db76513a44d 1224.1=2bf516034e6c959a",
+    "64x64 LL vsc single bb28eb55f2958b9f throw "
+    "0.7=62a74dcd9125b918 5.4=950420a7adca249f 5.1=2b6ee7301114fe72",
+    "64x64 LL reset+vsc dense f0d1375756338bbe throw "
+    "0.7=4ac061638e3dc603 4060.4=ddf5bdc87cb1173d 6746.1=ce25015f78ef6c59",
+    "64x64 LL reset+vsc sparse 02d97b1dc2bf50f4 throw "
+    "0.7=467bd29832963b38 833.4=e06c9beff3a730b7 1238.1=90702891f4c5c4ce",
+    "64x64 LL reset+vsc single bb28eb55f2958b9f throw "
+    "0.7=afc0e4868f51bdd0 13.4=3ba9e760f4a266e1 15.1=c27af75d68e0b39c",
+    "64x64 HL none dense e09c2fbbc2b09b8b throw "
+    "0.7=b935baa44d167897 4063.4=a54802d39fa75961 6748.1=3a53e571f0b6a6e7",
+    "64x64 HL none sparse 890e8ebae4f5aa20 throw "
+    "0.7=e4c7b895632629e5 813.4=d2265ed35f76dc13 1177.1=724b9372bde25322",
+    "64x64 HL none single bb28eb55f2958b9f throw "
+    "0.7=2fad6dde2c45ed4b 5.4=baed7a8593b9974a 5.1=86a1661a62c83264",
+    "64x64 HL reset dense 018fd014f8b89569 throw "
+    "0.7=271f03d108b49f58 4075.4=2de4f577406761d6 6752.1=9501ea4d2614448d",
+    "64x64 HL reset sparse dbbb709f09663d39 throw "
+    "0.7=7a5d0339d47678fe 914.4=9e09d6c470418704 1346.1=44322edbc9a1167d",
+    "64x64 HL reset single bb28eb55f2958b9f throw "
+    "0.7=a8f2571bdfbda5e1 13.4=44064e75dc8fd0e0 17.1=ff4dc2c008fd3c8c",
+    "64x64 HL vsc dense 517afac3aa354dc7 throw "
+    "0.7=81a91187a8ddb13a 4056.4=dae5ec1e034a5794 6730.1=8e98c45fc9a78513",
+    "64x64 HL vsc sparse 4501d5df58237686 throw "
+    "0.7=d2b6223b379e7487 853.4=a3fd968feb8718a5 1223.1=2bf516034e6c959a",
+    "64x64 HL vsc single bb28eb55f2958b9f throw "
+    "0.7=b5a3406e7b2d4528 5.4=c577ca7c27e5ce31 5.1=2b6ee7301114fe72",
+    "64x64 HL reset+vsc dense f0d1375756338bbe throw "
+    "0.7=4f3ffccac529658d 4068.4=dc0023a489777d46 6754.1=71ee80c44b3f0741",
+    "64x64 HL reset+vsc sparse 02d97b1dc2bf50f4 throw "
+    "0.7=0723dfbabe5d0df3 834.4=29f5140dded0201d 1239.1=6148cd7c2423dbb4",
+    "64x64 HL reset+vsc single bb28eb55f2958b9f throw "
+    "0.7=22e8db40bcd24ed2 13.4=c2167ffa40ae2837 15.1=1a88e468e3a0dbde",
+    "64x64 LH none dense e09c2fbbc2b09b8b throw "
+    "0.7=d741d9cc494eb88e 4063.4=b01ed6b03d194a6c 6749.1=3a53e571f0b6a6e7",
+    "64x64 LH none sparse 890e8ebae4f5aa20 throw "
+    "0.7=8ebacb5e7bc79278 813.4=0d48aa3f75e14c4f 1178.1=724b9372bde25322",
+    "64x64 LH none single bb28eb55f2958b9f throw "
+    "0.7=fd50197ade01e3e8 5.4=b01612a4e0a988df 5.1=86a1661a62c83264",
+    "64x64 LH reset dense 018fd014f8b89569 throw "
+    "0.7=6fc567dd84af95ca 4067.4=8070af0c289756b7 6744.1=9501ea4d2614448d",
+    "64x64 LH reset sparse dbbb709f09663d39 throw "
+    "0.7=57b7a4ebd744c8f7 913.4=8b44a8b6e304954a 1345.1=44322edbc9a1167d",
+    "64x64 LH reset single bb28eb55f2958b9f throw "
+    "0.7=f32892aff95d9eb1 13.4=72f249a1b14c97bb 17.1=ff4dc2c008fd3c8c",
+    "64x64 LH vsc dense 517afac3aa354dc7 throw "
+    "0.7=513726fe975dc270 4065.4=f8f64802d59044df 6739.1=8e98c45fc9a78513",
+    "64x64 LH vsc sparse 4501d5df58237686 throw "
+    "0.7=f33ba1ce3fd5bb98 854.4=11f57db76513a44d 1224.1=2bf516034e6c959a",
+    "64x64 LH vsc single bb28eb55f2958b9f throw "
+    "0.7=62a74dcd9125b918 5.4=950420a7adca249f 5.1=2b6ee7301114fe72",
+    "64x64 LH reset+vsc dense f0d1375756338bbe throw "
+    "0.7=4ac061638e3dc603 4060.4=ddf5bdc87cb1173d 6746.1=ce25015f78ef6c59",
+    "64x64 LH reset+vsc sparse 02d97b1dc2bf50f4 throw "
+    "0.7=467bd29832963b38 833.4=e06c9beff3a730b7 1238.1=90702891f4c5c4ce",
+    "64x64 LH reset+vsc single bb28eb55f2958b9f throw "
+    "0.7=afc0e4868f51bdd0 13.4=3ba9e760f4a266e1 15.1=c27af75d68e0b39c",
+    "64x64 HH none dense e09c2fbbc2b09b8b throw "
+    "0.7=f1221d2c166e461e 4063.4=a5c047600fd1bab8 6748.1=3a53e571f0b6a6e7",
+    "64x64 HH none sparse 890e8ebae4f5aa20 throw "
+    "0.7=8005120fa5adb61e 812.4=d04e1c531252573a 1175.1=724b9372bde25322",
+    "64x64 HH none single bb28eb55f2958b9f throw "
+    "0.7=71c530df72b04c4d 6.4=ff4dc2c008fd3c8c 6.1=ff4dc2c008fd3c8c",
+    "64x64 HH reset dense 018fd014f8b89569 throw "
+    "0.7=041afdb6a09ab522 4076.4=9ae3e17aa0c859ae 6753.1=9501ea4d2614448d",
+    "64x64 HH reset sparse dbbb709f09663d39 throw "
+    "0.7=b9b2031bf15c7543 909.4=99560c257f46f3b7 1340.1=44322edbc9a1167d",
+    "64x64 HH reset single bb28eb55f2958b9f throw "
+    "0.7=cec0423c891e2688 13.4=8d4ede29c98b6682 16.1=ff4dc2c008fd3c8c",
+    "64x64 HH vsc dense 517afac3aa354dc7 throw "
+    "0.7=a498cf1c2a89152b 4056.4=5c6f17475fd6ee50 6730.1=8e98c45fc9a78513",
+    "64x64 HH vsc sparse 4501d5df58237686 throw "
+    "0.7=b4cfa5b9927be9b3 850.4=4d0f30a5d21dfabe 1220.1=2bf516034e6c959a",
+    "64x64 HH vsc single bb28eb55f2958b9f throw "
+    "0.7=1b9cafc8f97597c1 5.4=6837222ae6ed6d0e 5.1=ff4dc2c008fd3c8c",
+    "64x64 HH reset+vsc dense f0d1375756338bbe throw "
+    "0.7=0df83446de3dcbf7 4052.4=ec31d88a3b4b5a6d 6738.1=ce25015f78ef6c59",
+    "64x64 HH reset+vsc sparse 02d97b1dc2bf50f4 throw "
+    "0.7=9bbed3340a615c78 829.4=201afed04600e399 1233.1=6148cd7c2423dbb4",
+    "64x64 HH reset+vsc single bb28eb55f2958b9f throw "
+    "0.7=0f8cc47969c508f7 12.4=f7a94a3f7c19ae64 15.1=ff4dc2c008fd3c8c",
+    "1x1 LL none dense 41b2f0691ca1a67e throw "
+    "0.7=df3f619804a92fdb 1.4=426fce4d7c97e816 1.1=bddf4d48ce5b74d0",
+    "1x1 LL none sparse c8cfd85cf8bb6939 throw",
+    "1x1 LL none single 96207236c0823b06 throw "
+    "0.7=df3f619804a92fdb 2.4=b46c13a290d393ae 2.1=b46c13a290d393ae",
+    "1x1 LL reset dense 1a1b54a36becbb63 throw "
+    "0.7=df3f619804a92fdb 1.4=222bc363d8b4c9cf 1.1=148c24e26b1eb5d1",
+    "1x1 LL reset sparse c8cfd85cf8bb6939 throw",
+    "1x1 LL reset single 96207236c0823b06 throw "
+    "0.7=df3f619804a92fdb 1.4=4dd42b836a668313 1.1=069273a7aec082fb",
+    "1x1 LL vsc dense ebf9647bbc45ffd1 throw "
+    "0.7=df3f619804a92fdb 1.4=2d888197db7feed4 1.1=fba014366df54555",
+    "1x1 LL vsc sparse c8cfd85cf8bb6939 throw",
+    "1x1 LL vsc single 96207236c0823b06 throw "
+    "0.7=df3f619804a92fdb 2.4=b46c13a290d393ae 2.1=b46c13a290d393ae",
+    "1x1 LL reset+vsc dense 1ec14e0a898e9288 throw "
+    "0.7=df3f619804a92fdb 1.4=a92d44b9561d8289 1.1=ba22fa5bbce3d4d2",
+    "1x1 LL reset+vsc sparse c8cfd85cf8bb6939 throw",
+    "1x1 LL reset+vsc single 96207236c0823b06 throw "
+    "0.7=df3f619804a92fdb 1.4=4dd42b836a668313 1.1=069273a7aec082fb",
+    "1x1 HL none dense 41b2f0691ca1a67e throw "
+    "0.7=df3f619804a92fdb 1.4=426fce4d7c97e816 1.1=bddf4d48ce5b74d0",
+    "1x1 HL none sparse c8cfd85cf8bb6939 throw",
+    "1x1 HL none single 96207236c0823b06 throw "
+    "0.7=df3f619804a92fdb 2.4=b46c13a290d393ae 2.1=b46c13a290d393ae",
+    "1x1 HL reset dense 1a1b54a36becbb63 throw "
+    "0.7=df3f619804a92fdb 1.4=222bc363d8b4c9cf 1.1=148c24e26b1eb5d1",
+    "1x1 HL reset sparse c8cfd85cf8bb6939 throw",
+    "1x1 HL reset single 96207236c0823b06 throw "
+    "0.7=df3f619804a92fdb 1.4=4dd42b836a668313 1.1=069273a7aec082fb",
+    "1x1 HL vsc dense ebf9647bbc45ffd1 throw "
+    "0.7=df3f619804a92fdb 1.4=2d888197db7feed4 1.1=fba014366df54555",
+    "1x1 HL vsc sparse c8cfd85cf8bb6939 throw",
+    "1x1 HL vsc single 96207236c0823b06 throw "
+    "0.7=df3f619804a92fdb 2.4=b46c13a290d393ae 2.1=b46c13a290d393ae",
+    "1x1 HL reset+vsc dense 1ec14e0a898e9288 throw "
+    "0.7=df3f619804a92fdb 1.4=a92d44b9561d8289 1.1=ba22fa5bbce3d4d2",
+    "1x1 HL reset+vsc sparse c8cfd85cf8bb6939 throw",
+    "1x1 HL reset+vsc single 96207236c0823b06 throw "
+    "0.7=df3f619804a92fdb 1.4=4dd42b836a668313 1.1=069273a7aec082fb",
+    "1x1 LH none dense 41b2f0691ca1a67e throw "
+    "0.7=df3f619804a92fdb 1.4=426fce4d7c97e816 1.1=bddf4d48ce5b74d0",
+    "1x1 LH none sparse c8cfd85cf8bb6939 throw",
+    "1x1 LH none single 96207236c0823b06 throw "
+    "0.7=df3f619804a92fdb 2.4=b46c13a290d393ae 2.1=b46c13a290d393ae",
+    "1x1 LH reset dense 1a1b54a36becbb63 throw "
+    "0.7=df3f619804a92fdb 1.4=222bc363d8b4c9cf 1.1=148c24e26b1eb5d1",
+    "1x1 LH reset sparse c8cfd85cf8bb6939 throw",
+    "1x1 LH reset single 96207236c0823b06 throw "
+    "0.7=df3f619804a92fdb 1.4=4dd42b836a668313 1.1=069273a7aec082fb",
+    "1x1 LH vsc dense ebf9647bbc45ffd1 throw "
+    "0.7=df3f619804a92fdb 1.4=2d888197db7feed4 1.1=fba014366df54555",
+    "1x1 LH vsc sparse c8cfd85cf8bb6939 throw",
+    "1x1 LH vsc single 96207236c0823b06 throw "
+    "0.7=df3f619804a92fdb 2.4=b46c13a290d393ae 2.1=b46c13a290d393ae",
+    "1x1 LH reset+vsc dense 1ec14e0a898e9288 throw "
+    "0.7=df3f619804a92fdb 1.4=a92d44b9561d8289 1.1=ba22fa5bbce3d4d2",
+    "1x1 LH reset+vsc sparse c8cfd85cf8bb6939 throw",
+    "1x1 LH reset+vsc single 96207236c0823b06 throw "
+    "0.7=df3f619804a92fdb 1.4=4dd42b836a668313 1.1=069273a7aec082fb",
+    "1x1 HH none dense 41b2f0691ca1a67e throw "
+    "0.7=df3f619804a92fdb 1.4=426fce4d7c97e816 1.1=bddf4d48ce5b74d0",
+    "1x1 HH none sparse c8cfd85cf8bb6939 throw",
+    "1x1 HH none single 96207236c0823b06 throw "
+    "0.7=df3f619804a92fdb 2.4=b46c13a290d393ae 2.1=b46c13a290d393ae",
+    "1x1 HH reset dense 1a1b54a36becbb63 throw "
+    "0.7=df3f619804a92fdb 1.4=222bc363d8b4c9cf 1.1=148c24e26b1eb5d1",
+    "1x1 HH reset sparse c8cfd85cf8bb6939 throw",
+    "1x1 HH reset single 96207236c0823b06 throw "
+    "0.7=df3f619804a92fdb 1.4=4dd42b836a668313 1.1=069273a7aec082fb",
+    "1x1 HH vsc dense ebf9647bbc45ffd1 throw "
+    "0.7=df3f619804a92fdb 1.4=2d888197db7feed4 1.1=fba014366df54555",
+    "1x1 HH vsc sparse c8cfd85cf8bb6939 throw",
+    "1x1 HH vsc single 96207236c0823b06 throw "
+    "0.7=df3f619804a92fdb 2.4=b46c13a290d393ae 2.1=b46c13a290d393ae",
+    "1x1 HH reset+vsc dense 1ec14e0a898e9288 throw "
+    "0.7=df3f619804a92fdb 1.4=a92d44b9561d8289 1.1=ba22fa5bbce3d4d2",
+    "1x1 HH reset+vsc sparse c8cfd85cf8bb6939 throw",
+    "1x1 HH reset+vsc single 96207236c0823b06 throw "
+    "0.7=df3f619804a92fdb 1.4=4dd42b836a668313 1.1=069273a7aec082fb",
+    "3x70 LL none dense 38d947cceee54e15 throw "
+    "0.7=51a358e298eabe14 218.4=1d4cd5e8e224d3bc 351.1=0bb38f7d6cd340b4",
+    "3x70 LL none sparse 87d3450cc69ff7f7 throw "
+    "0.7=10057c7913b41c0a 45.4=1c01916d80f8e818 60.1=67e5b2c4caf8f6e6",
+    "3x70 LL none single 2c4423b3d4f34715 throw "
+    "0.7=65a212d1ec24f857 5.4=6a3b2ceae447453c 5.1=5ae9778b7c531b66",
+    "3x70 LL reset dense 89270015c7433a77 throw "
+    "0.7=40277b572c4f2394 218.4=50a1f90d264a91eb 352.1=d477c1a6df00df13",
+    "3x70 LL reset sparse 18b62d90a5a3a406 throw "
+    "0.7=aa6fc11547db90f5 62.4=01a4b80ff940c8d3 93.1=cde235919b4e96e4",
+    "3x70 LL reset single 2c4423b3d4f34715 throw "
+    "0.7=cae68e336921384d 11.4=defd35086feddb98 13.1=5ae9778b7c531b66",
+    "3x70 LL vsc dense 5df52fbb84c50c0b throw "
+    "0.7=192e431d1f78cf56 218.4=5fcae043a4e250a4 350.1=1c7096a62fb00ef0",
+    "3x70 LL vsc sparse 541602f71ad3831f throw "
+    "0.7=9ec0cb0684bdd96c 58.4=17480f8bad6a9d91 78.1=b8d032fcdb7355b8",
+    "3x70 LL vsc single 2c4423b3d4f34715 throw "
+    "0.7=5b3898a3af1d5c9e 5.4=6a3b2ceae447453c 5.1=5ae9778b7c531b66",
+    "3x70 LL reset+vsc dense 337b7cfc830e876f throw "
+    "0.7=5c2c455c2ee99761 217.4=c4bc0e8dc489433a 351.1=4521addb2d9f1b72",
+    "3x70 LL reset+vsc sparse eb9ac29224c4f608 throw "
+    "0.7=bd4a6ece2503f829 83.4=919c9dd3a50ca0a7 124.1=fe551396dee431a0",
+    "3x70 LL reset+vsc single 2c4423b3d4f34715 throw "
+    "0.7=4c29056f39f33058 11.4=1c61678a2e6ea5f7 13.1=5ae9778b7c531b66",
+    "3x70 HL none dense 38d947cceee54e15 throw "
+    "0.7=bcc625f44585e994 216.4=30bf79f26cebb6c6 350.1=747e2f62184d60ac",
+    "3x70 HL none sparse 87d3450cc69ff7f7 throw "
+    "0.7=5c19e06da0d88a1a 46.4=f62f40430d2f073f 60.1=67e5b2c4caf8f6e6",
+    "3x70 HL none single 2c4423b3d4f34715 throw "
+    "0.7=0a42e705fc23c964 5.4=6a3b2ceae447453c 5.1=5ae9778b7c531b66",
+    "3x70 HL reset dense 89270015c7433a77 throw "
+    "0.7=d7b9d58b7aa3dfa6 218.4=85feb4422d3b8543 352.1=d477c1a6df00df13",
+    "3x70 HL reset sparse 18b62d90a5a3a406 throw "
+    "0.7=b518966874613c10 62.4=7c61d261a6ac81c5 94.1=fbdfbfe99228ec9e",
+    "3x70 HL reset single 2c4423b3d4f34715 throw "
+    "0.7=be98be0cbaca9bc2 11.4=0b6e0be4ef3464c3 13.1=5ae9778b7c531b66",
+    "3x70 HL vsc dense 5df52fbb84c50c0b throw "
+    "0.7=901fa73ad97c4367 218.4=2d69abc7173b51f5 350.1=7c52642f63676cac",
+    "3x70 HL vsc sparse 541602f71ad3831f throw "
+    "0.7=d348e02610878414 58.4=cfc7932504608513 79.1=6ea5698fb8c0e10f",
+    "3x70 HL vsc single 2c4423b3d4f34715 throw "
+    "0.7=f5697aaa8c9e0e78 5.4=6a3b2ceae447453c 5.1=5ae9778b7c531b66",
+    "3x70 HL reset+vsc dense 337b7cfc830e876f throw "
+    "0.7=a1cd19a3a0e3a6fb 218.4=3c3f87e991a713f9 352.1=4521addb2d9f1b72",
+    "3x70 HL reset+vsc sparse eb9ac29224c4f608 throw "
+    "0.7=a22e2b955a570cd2 84.4=a2572fae251ad14f 125.1=cd6f53abb786793c",
+    "3x70 HL reset+vsc single 2c4423b3d4f34715 throw "
+    "0.7=c2d387f8695d8adb 11.4=4dd088fb86520aaf 13.1=5ae9778b7c531b66",
+    "3x70 LH none dense 38d947cceee54e15 throw "
+    "0.7=51a358e298eabe14 218.4=1d4cd5e8e224d3bc 351.1=0bb38f7d6cd340b4",
+    "3x70 LH none sparse 87d3450cc69ff7f7 throw "
+    "0.7=10057c7913b41c0a 45.4=1c01916d80f8e818 60.1=67e5b2c4caf8f6e6",
+    "3x70 LH none single 2c4423b3d4f34715 throw "
+    "0.7=65a212d1ec24f857 5.4=6a3b2ceae447453c 5.1=5ae9778b7c531b66",
+    "3x70 LH reset dense 89270015c7433a77 throw "
+    "0.7=40277b572c4f2394 218.4=50a1f90d264a91eb 352.1=d477c1a6df00df13",
+    "3x70 LH reset sparse 18b62d90a5a3a406 throw "
+    "0.7=aa6fc11547db90f5 62.4=01a4b80ff940c8d3 93.1=cde235919b4e96e4",
+    "3x70 LH reset single 2c4423b3d4f34715 throw "
+    "0.7=cae68e336921384d 11.4=defd35086feddb98 13.1=5ae9778b7c531b66",
+    "3x70 LH vsc dense 5df52fbb84c50c0b throw "
+    "0.7=192e431d1f78cf56 218.4=5fcae043a4e250a4 350.1=1c7096a62fb00ef0",
+    "3x70 LH vsc sparse 541602f71ad3831f throw "
+    "0.7=9ec0cb0684bdd96c 58.4=17480f8bad6a9d91 78.1=b8d032fcdb7355b8",
+    "3x70 LH vsc single 2c4423b3d4f34715 throw "
+    "0.7=5b3898a3af1d5c9e 5.4=6a3b2ceae447453c 5.1=5ae9778b7c531b66",
+    "3x70 LH reset+vsc dense 337b7cfc830e876f throw "
+    "0.7=5c2c455c2ee99761 217.4=c4bc0e8dc489433a 351.1=4521addb2d9f1b72",
+    "3x70 LH reset+vsc sparse eb9ac29224c4f608 throw "
+    "0.7=bd4a6ece2503f829 83.4=919c9dd3a50ca0a7 124.1=fe551396dee431a0",
+    "3x70 LH reset+vsc single 2c4423b3d4f34715 throw "
+    "0.7=4c29056f39f33058 11.4=1c61678a2e6ea5f7 13.1=5ae9778b7c531b66",
+    "3x70 HH none dense 38d947cceee54e15 throw "
+    "0.7=3a6d052fbd6d4598 217.4=1d4cd5e8e224d3bc 350.1=0bb38f7d6cd340b4",
+    "3x70 HH none sparse 87d3450cc69ff7f7 throw "
+    "0.7=0f6c7004d728d391 46.4=b76a48d47eae07c7 60.1=67e5b2c4caf8f6e6",
+    "3x70 HH none single 2c4423b3d4f34715 throw "
+    "0.7=45994004f7358cbf 5.4=5ae9778b7c531b66 5.1=5ae9778b7c531b66",
+    "3x70 HH reset dense 89270015c7433a77 throw "
+    "0.7=582c9857403630fe 218.4=732919844c62553b 352.1=d477c1a6df00df13",
+    "3x70 HH reset sparse 18b62d90a5a3a406 throw "
+    "0.7=5633ca313fbbc643 60.4=9b891c3914c664f4 90.1=fbdfbfe99228ec9e",
+    "3x70 HH reset single 2c4423b3d4f34715 throw "
+    "0.7=d7a27f8f7a47b07f 10.4=65454378a673578b 11.1=8c3b62c4cd4ea0e1",
+    "3x70 HH vsc dense 5df52fbb84c50c0b throw "
+    "0.7=7d3cf0945c71adb7 217.4=c5fa277828ec28a5 349.1=3fd68480246ce7d3",
+    "3x70 HH vsc sparse 541602f71ad3831f throw "
+    "0.7=db90187e96ae7c25 57.4=81658bd049bf65a0 78.1=6ea5698fb8c0e10f",
+    "3x70 HH vsc single 2c4423b3d4f34715 throw "
+    "0.7=1a961f43a6d7f237 5.4=5ae9778b7c531b66 5.1=5ae9778b7c531b66",
+    "3x70 HH reset+vsc dense 337b7cfc830e876f throw "
+    "0.7=04d64d733164f9d1 217.4=c4bc0e8dc489433a 351.1=4521addb2d9f1b72",
+    "3x70 HH reset+vsc sparse eb9ac29224c4f608 throw "
+    "0.7=0ef9302ffc9c6607 81.4=513343b210e02ec9 121.1=925b2523378d5e3a",
+    "3x70 HH reset+vsc single 2c4423b3d4f34715 throw "
+    "0.7=3c0379242e5d878f 10.4=fa1a9f770ee4e179 11.1=8c3b62c4cd4ea0e1",
+    "17x5 LL none dense 8a1f3210e417c2a4 throw "
+    "0.7=7ee1a62a6dc1a679 91.4=30e601be1cbb0d2f 144.1=0adea9610d047ddf",
+    "17x5 LL none sparse b8227b2e0cfe6f27 throw "
+    "0.7=595f59184451781d 26.4=73a5130cf201c25f 32.1=49836fd0cee908ec",
+    "17x5 LL none single 70cf3646420c56b2 throw "
+    "0.7=67d88fd9b936718f 5.4=d3407916eaaec0d3 5.1=d3407916eaaec0d3",
+    "17x5 LL reset dense 85a7ddd0807f13f8 throw "
+    "0.7=f5e7c09423666de9 90.4=cd7762c4ceafd03a 141.1=23a6177e269ca784",
+    "17x5 LL reset sparse aef20fc79c2a10eb throw "
+    "0.7=ca4d2abd5315fe5e 37.4=2ceb869e64208dbb 56.1=c730feacdd517588",
+    "17x5 LL reset single 70cf3646420c56b2 throw "
+    "0.7=b3d166831a20d39d 10.4=3effa028574735dc 11.1=d3407916eaaec0d3",
+    "17x5 LL vsc dense 80d3d4d4e6fbdb12 throw "
+    "0.7=017481a16026d9c5 92.4=d08507345d8646bc 145.1=17c34ab253c7e7d6",
+    "17x5 LL vsc sparse 045a5069a82c00c9 throw "
+    "0.7=31c853df949108fd 30.4=dba452bb2537ad4a 37.1=774248317f88c0eb",
+    "17x5 LL vsc single 70cf3646420c56b2 throw "
+    "0.7=11a92461ffd14874 5.4=d3407916eaaec0d3 5.1=d3407916eaaec0d3",
+    "17x5 LL reset+vsc dense 76843cc2beb2913e throw "
+    "0.7=4b6fa917d1237885 90.4=0c4a16783ae3df56 143.1=d93961e2647092c7",
+    "17x5 LL reset+vsc sparse 21d3cda4b8e441e6 throw "
+    "0.7=93a36b19b4323991 30.4=9a928517da62cea9 46.1=a7e3295f553a874e",
+    "17x5 LL reset+vsc single 70cf3646420c56b2 throw "
+    "0.7=c4538df3a7e7b360 10.4=3effa028574735dc 11.1=d3407916eaaec0d3",
+    "17x5 HL none dense 8a1f3210e417c2a4 throw "
+    "0.7=6c94056cc6a91844 91.4=ddd4708ec61dac57 143.1=449c7d6e9275c3f0",
+    "17x5 HL none sparse b8227b2e0cfe6f27 throw "
+    "0.7=fa799cd890c58416 25.4=b0ae2da6c5af7415 31.1=c6e5e67d3eb599e6",
+    "17x5 HL none single 70cf3646420c56b2 throw "
+    "0.7=a40ee017d24b67ce 5.4=d3407916eaaec0d3 5.1=d3407916eaaec0d3",
+    "17x5 HL reset dense 85a7ddd0807f13f8 throw "
+    "0.7=7e184c87d55b0b04 91.4=b7175a152e54a825 141.1=505258e64900650b",
+    "17x5 HL reset sparse aef20fc79c2a10eb throw "
+    "0.7=75827e7db49467c9 36.4=6b7093401ada99b1 54.1=c730feacdd517588",
+    "17x5 HL reset single 70cf3646420c56b2 throw "
+    "0.7=af0ac3fd1ae81d89 10.4=d4c8ab658aed6aca 11.1=d3407916eaaec0d3",
+    "17x5 HL vsc dense 80d3d4d4e6fbdb12 throw "
+    "0.7=41a75d8d033f6ea7 94.4=8488052db59f45e8 147.1=17c34ab253c7e7d6",
+    "17x5 HL vsc sparse 045a5069a82c00c9 throw "
+    "0.7=bbdf6520b2dd22c3 31.4=b2813723e7a28808 38.1=78c26f3d728129a4",
+    "17x5 HL vsc single 70cf3646420c56b2 throw "
+    "0.7=ec292d995ee0a434 5.4=d3407916eaaec0d3 5.1=d3407916eaaec0d3",
+    "17x5 HL reset+vsc dense 76843cc2beb2913e throw "
+    "0.7=7d796e92e11dc50e 90.4=c60cf7f52ad5302f 143.1=d93961e2647092c7",
+    "17x5 HL reset+vsc sparse 21d3cda4b8e441e6 throw "
+    "0.7=18dac173cdbff1ab 31.4=174b7fb0b72ed97c 47.1=a7656fb9f14820c7",
+    "17x5 HL reset+vsc single 70cf3646420c56b2 throw "
+    "0.7=288299760ea97f14 10.4=7ca38b2b0223f703 11.1=d3407916eaaec0d3",
+    "17x5 LH none dense 8a1f3210e417c2a4 throw "
+    "0.7=7ee1a62a6dc1a679 91.4=30e601be1cbb0d2f 144.1=0adea9610d047ddf",
+    "17x5 LH none sparse b8227b2e0cfe6f27 throw "
+    "0.7=595f59184451781d 26.4=73a5130cf201c25f 32.1=49836fd0cee908ec",
+    "17x5 LH none single 70cf3646420c56b2 throw "
+    "0.7=67d88fd9b936718f 5.4=d3407916eaaec0d3 5.1=d3407916eaaec0d3",
+    "17x5 LH reset dense 85a7ddd0807f13f8 throw "
+    "0.7=f5e7c09423666de9 90.4=cd7762c4ceafd03a 141.1=23a6177e269ca784",
+    "17x5 LH reset sparse aef20fc79c2a10eb throw "
+    "0.7=ca4d2abd5315fe5e 37.4=2ceb869e64208dbb 56.1=c730feacdd517588",
+    "17x5 LH reset single 70cf3646420c56b2 throw "
+    "0.7=b3d166831a20d39d 10.4=3effa028574735dc 11.1=d3407916eaaec0d3",
+    "17x5 LH vsc dense 80d3d4d4e6fbdb12 throw "
+    "0.7=017481a16026d9c5 92.4=d08507345d8646bc 145.1=17c34ab253c7e7d6",
+    "17x5 LH vsc sparse 045a5069a82c00c9 throw "
+    "0.7=31c853df949108fd 30.4=dba452bb2537ad4a 37.1=774248317f88c0eb",
+    "17x5 LH vsc single 70cf3646420c56b2 throw "
+    "0.7=11a92461ffd14874 5.4=d3407916eaaec0d3 5.1=d3407916eaaec0d3",
+    "17x5 LH reset+vsc dense 76843cc2beb2913e throw "
+    "0.7=4b6fa917d1237885 90.4=0c4a16783ae3df56 143.1=d93961e2647092c7",
+    "17x5 LH reset+vsc sparse 21d3cda4b8e441e6 throw "
+    "0.7=93a36b19b4323991 30.4=9a928517da62cea9 46.1=a7e3295f553a874e",
+    "17x5 LH reset+vsc single 70cf3646420c56b2 throw "
+    "0.7=c4538df3a7e7b360 10.4=3effa028574735dc 11.1=d3407916eaaec0d3",
+    "17x5 HH none dense 8a1f3210e417c2a4 throw "
+    "0.7=14d5c21bb1c852fa 92.4=ddd4708ec61dac57 144.1=449c7d6e9275c3f0",
+    "17x5 HH none sparse b8227b2e0cfe6f27 throw "
+    "0.7=db866bf6c5f65a5a 24.4=dbb4fc10da167339 31.1=49836fd0cee908ec",
+    "17x5 HH none single 70cf3646420c56b2 throw "
+    "0.7=f7798862e7eec083 4.4=760249b27422aa63 4.1=9f8b4dbfe1d837e7",
+    "17x5 HH reset dense 85a7ddd0807f13f8 throw "
+    "0.7=fc4c41ea577f0ea9 90.4=0c0c0998ab027052 142.1=ec12e72690fca529",
+    "17x5 HH reset sparse aef20fc79c2a10eb throw "
+    "0.7=e0841c8a5842fef6 36.4=41a5461891b63958 53.1=c730feacdd517588",
+    "17x5 HH reset single 70cf3646420c56b2 throw "
+    "0.7=e68f3005334f3496 9.4=63318cacec5ccf75 10.1=d3407916eaaec0d3",
+    "17x5 HH vsc dense 80d3d4d4e6fbdb12 throw "
+    "0.7=127141b3d48c5605 93.4=08127f23e9127c96 146.1=17c34ab253c7e7d6",
+    "17x5 HH vsc sparse 045a5069a82c00c9 throw "
+    "0.7=b23923a555e80c0c 31.4=34e8f51bb8914ac1 39.1=65ba3c0ac32ee088",
+    "17x5 HH vsc single 70cf3646420c56b2 throw "
+    "0.7=5a3d64f5908eed84 4.4=38f6bcac7b3526f2 4.1=9f8b4dbfe1d837e7",
+    "17x5 HH reset+vsc dense 76843cc2beb2913e throw "
+    "0.7=07fe63c149a44e3d 90.4=154008fafd3ef0e7 144.1=e625503e700ec928",
+    "17x5 HH reset+vsc sparse 21d3cda4b8e441e6 throw "
+    "0.7=6c7e22cf43fe911e 30.4=7593aa2befaf5815 46.1=a7656fb9f14820c7",
+    "17x5 HH reset+vsc single 70cf3646420c56b2 throw "
+    "0.7=ab7101808b39383b 9.4=7c7bc8ef63d30717 10.1=d3407916eaaec0d3",
+    "64x4 LL none dense 641d61eca599424e throw "
+    "0.7=fd00b572fa8ad5a6 263.4=ed25e9b4a46f9999 427.1=32284c6b0461c71f",
+    "64x4 LL none sparse 8519745d2f4f29fd throw "
+    "0.7=2b4ed6697fe2248b 76.4=08349d0db022ccba 105.1=0cc8a9c6e5655638",
+    "64x4 LL none single dc92d1fd1adf2b50 throw "
+    "0.7=5f70bf18a0860070 5.4=8f245835e7f157f7 5.1=d4352d8e6c473717",
+    "64x4 LL reset dense 171397f0484363d0 throw "
+    "0.7=891597c1d708793f 262.4=3e316c0af1038e5a 426.1=73060f659aad9fd5",
+    "64x4 LL reset sparse 0fa6bcdb4d8e4053 throw "
+    "0.7=6eae24cec8e66732 63.4=50c6d7a4ed1feb7b 94.1=a7677d58d72d14ec",
+    "64x4 LL reset single dc92d1fd1adf2b50 throw "
+    "0.7=9c26201496c5eed0 10.4=5ae76434dda5c9f6 11.1=60553eb4f79f4ba1",
+    "64x4 LL vsc dense e4819063c557083f throw "
+    "0.7=c1d33aad1868b1d6 266.4=3916b31f171546a0 431.1=f4f8bceea8c6a628",
+    "64x4 LL vsc sparse 018febd26fad99b9 throw "
+    "0.7=aee206e8c54a79ca 72.4=f2bd82d7ebe5efa4 98.1=53e45e118a0c9342",
+    "64x4 LL vsc single dc92d1fd1adf2b50 throw "
+    "0.7=5f70bf18a0860070 5.4=8f245835e7f157f7 5.1=d4352d8e6c473717",
+    "64x4 LL reset+vsc dense cfe65e8fb7e93077 throw "
+    "0.7=023313af840145c8 262.4=c5314bd6f8a5def8 421.1=90cda8cf4e125a89",
+    "64x4 LL reset+vsc sparse d748867bfaee6c79 throw "
+    "0.7=922f1ce4d6ad81e2 89.4=70c8347d85d33f1d 134.1=4129ea3c961c3806",
+    "64x4 LL reset+vsc single dc92d1fd1adf2b50 throw "
+    "0.7=9c26201496c5eed0 10.4=5ae76434dda5c9f6 11.1=60553eb4f79f4ba1",
+    "64x4 HL none dense 641d61eca599424e throw "
+    "0.7=68d1ee117de9385a 263.4=728ca171312dbdea 427.1=32284c6b0461c71f",
+    "64x4 HL none sparse 8519745d2f4f29fd throw "
+    "0.7=4decd38b877a649f 75.4=51311c1fcbc85c8a 104.1=0cc8a9c6e5655638",
+    "64x4 HL none single dc92d1fd1adf2b50 throw "
+    "0.7=5f70bf18a0860070 5.4=8f245835e7f157f7 5.1=d4352d8e6c473717",
+    "64x4 HL reset dense 171397f0484363d0 throw "
+    "0.7=fef35fa16aa27331 263.4=f5bb0b0097106791 427.1=0781a1bcc49821d7",
+    "64x4 HL reset sparse 0fa6bcdb4d8e4053 throw "
+    "0.7=71c5dd465d136b1c 66.4=a871c683b6da6b67 97.1=80135ffb2da25e79",
+    "64x4 HL reset single dc92d1fd1adf2b50 throw "
+    "0.7=5a1eaf0aac043a24 10.4=00ab2d919436d8c1 11.1=5c1af7352d5ba40f",
+    "64x4 HL vsc dense e4819063c557083f throw "
+    "0.7=01c3443571724501 265.4=2679bbbfc73dab77 430.1=f4f8bceea8c6a628",
+    "64x4 HL vsc sparse 018febd26fad99b9 throw "
+    "0.7=524783a89fe232f2 72.4=b2250e7a74c03466 97.1=53e45e118a0c9342",
+    "64x4 HL vsc single dc92d1fd1adf2b50 throw "
+    "0.7=5f70bf18a0860070 5.4=8f245835e7f157f7 5.1=d4352d8e6c473717",
+    "64x4 HL reset+vsc dense cfe65e8fb7e93077 throw "
+    "0.7=986f8eaedb49c61a 263.4=b75183e7b291876a 422.1=90cda8cf4e125a89",
+    "64x4 HL reset+vsc sparse d748867bfaee6c79 throw "
+    "0.7=55333aa8af20a740 89.4=9f671c501da62271 134.1=01f0450a59046e54",
+    "64x4 HL reset+vsc single dc92d1fd1adf2b50 throw "
+    "0.7=5a1eaf0aac043a24 10.4=00ab2d919436d8c1 11.1=5c1af7352d5ba40f",
+    "64x4 LH none dense 641d61eca599424e throw "
+    "0.7=fd00b572fa8ad5a6 263.4=ed25e9b4a46f9999 427.1=32284c6b0461c71f",
+    "64x4 LH none sparse 8519745d2f4f29fd throw "
+    "0.7=2b4ed6697fe2248b 76.4=08349d0db022ccba 105.1=0cc8a9c6e5655638",
+    "64x4 LH none single dc92d1fd1adf2b50 throw "
+    "0.7=5f70bf18a0860070 5.4=8f245835e7f157f7 5.1=d4352d8e6c473717",
+    "64x4 LH reset dense 171397f0484363d0 throw "
+    "0.7=891597c1d708793f 262.4=3e316c0af1038e5a 426.1=73060f659aad9fd5",
+    "64x4 LH reset sparse 0fa6bcdb4d8e4053 throw "
+    "0.7=6eae24cec8e66732 63.4=50c6d7a4ed1feb7b 94.1=a7677d58d72d14ec",
+    "64x4 LH reset single dc92d1fd1adf2b50 throw "
+    "0.7=9c26201496c5eed0 10.4=5ae76434dda5c9f6 11.1=60553eb4f79f4ba1",
+    "64x4 LH vsc dense e4819063c557083f throw "
+    "0.7=c1d33aad1868b1d6 266.4=3916b31f171546a0 431.1=f4f8bceea8c6a628",
+    "64x4 LH vsc sparse 018febd26fad99b9 throw "
+    "0.7=aee206e8c54a79ca 72.4=f2bd82d7ebe5efa4 98.1=53e45e118a0c9342",
+    "64x4 LH vsc single dc92d1fd1adf2b50 throw "
+    "0.7=5f70bf18a0860070 5.4=8f245835e7f157f7 5.1=d4352d8e6c473717",
+    "64x4 LH reset+vsc dense cfe65e8fb7e93077 throw "
+    "0.7=023313af840145c8 262.4=c5314bd6f8a5def8 421.1=90cda8cf4e125a89",
+    "64x4 LH reset+vsc sparse d748867bfaee6c79 throw "
+    "0.7=922f1ce4d6ad81e2 89.4=70c8347d85d33f1d 134.1=4129ea3c961c3806",
+    "64x4 LH reset+vsc single dc92d1fd1adf2b50 throw "
+    "0.7=9c26201496c5eed0 10.4=5ae76434dda5c9f6 11.1=60553eb4f79f4ba1",
+    "64x4 HH none dense 641d61eca599424e throw "
+    "0.7=c6eabe1742f1cb55 263.4=497a27f7d8daddfa 427.1=526ac17e92947e8d",
+    "64x4 HH none sparse 8519745d2f4f29fd throw "
+    "0.7=fff44ba39892a685 75.4=ac0291cd3d4c3c26 103.1=f9e59a2162755eb3",
+    "64x4 HH none single dc92d1fd1adf2b50 throw "
+    "0.7=5f70bf18a0860070 4.4=9b6968cd0ed47507 4.1=c0746919560aeb92",
+    "64x4 HH reset dense 171397f0484363d0 throw "
+    "0.7=8b06773f3cc6235d 264.4=32a77e234ff2a7c2 428.1=73060f659aad9fd5",
+    "64x4 HH reset sparse 0fa6bcdb4d8e4053 throw "
+    "0.7=3efd23b913d8b598 64.4=eeb2bd7ea8ad2bd6 94.1=80135ffb2da25e79",
+    "64x4 HH reset single dc92d1fd1adf2b50 throw "
+    "0.7=2dfb589ff78c481f 10.4=47f8bc1a4c160e43 10.1=d4352d8e6c473717",
+    "64x4 HH vsc dense e4819063c557083f throw "
+    "0.7=53235410b2f60d4d 265.4=279e59df63c431eb 430.1=f4f8bceea8c6a628",
+    "64x4 HH vsc sparse 018febd26fad99b9 throw "
+    "0.7=9db54b1011fb6a96 71.4=380795ee27802525 97.1=8c355dec888cda77",
+    "64x4 HH vsc single dc92d1fd1adf2b50 throw "
+    "0.7=5f70bf18a0860070 4.4=9b6968cd0ed47507 4.1=c0746919560aeb92",
+    "64x4 HH reset+vsc dense cfe65e8fb7e93077 throw "
+    "0.7=3b41f243b69cf2bc 262.4=2d1b52c04afcf4ff 421.1=90cda8cf4e125a89",
+    "64x4 HH reset+vsc sparse d748867bfaee6c79 throw "
+    "0.7=383f1d98f8cdc1e7 86.4=b0c8839f96660989 129.1=062e9c7199194181",
+    "64x4 HH reset+vsc single dc92d1fd1adf2b50 throw "
+    "0.7=2dfb589ff78c481f 10.4=47f8bc1a4c160e43 10.1=d4352d8e6c473717",
+    "33x31 LL none dense e9f3c449ff100016 throw "
+    "0.7=783856fb15048355 1022.4=e94b95f98a7d9905 1689.1=de408ec02eefa30f",
+    "33x31 LL none sparse ddc8ec8426245ffe throw "
+    "0.7=6c79da60057e1569 200.4=ad6b59a64437cbea 284.1=10e19e9e1ce2436b",
+    "33x31 LL none single 5bbf9d1e5b920e05 throw "
+    "0.7=1b1c3cabac5450fd 5.4=8b65f3bbb955c422 5.1=184a3968ec7c5c24",
+    "33x31 LL reset dense de58d508695e7158 throw "
+    "0.7=7b8e969425b0acb8 1021.4=f49605d9c1474bfd 1686.1=28c06dbd156a2111",
+    "33x31 LL reset sparse 0dfbf79e24960b05 throw "
+    "0.7=6b2ee3d6291638a0 236.4=4ae1b313d5be24e1 353.1=1a6ace935d4c728e",
+    "33x31 LL reset single 5bbf9d1e5b920e05 throw "
+    "0.7=5e29914c1484b65f 13.4=a0281d2fc1179273 16.1=c48e773cbf396602",
+    "33x31 LL vsc dense 7e2d5fddc6db96c7 throw "
+    "0.7=07c476c69a7cbc13 1028.4=41f9a68faa13a6e8 1694.1=56bda4b3468794e0",
+    "33x31 LL vsc sparse 09b3d8c789767e9f throw "
+    "0.7=d03e94a30838b556 221.4=0d3a90371d8da84b 311.1=695fa2d417942fdc",
+    "33x31 LL vsc single 5bbf9d1e5b920e05 throw "
+    "0.7=dee22c80cbc2308f 5.4=8b65f3bbb955c422 5.1=f7725fcbeff2cbe7",
+    "33x31 LL reset+vsc dense 016ccdafd0a32f76 throw "
+    "0.7=7a828f4237d82446 1026.4=5a8e3da7a9a8b25f 1687.1=6a95d3aa865fa00c",
+    "33x31 LL reset+vsc sparse 73d93eddfd5a45e2 throw "
+    "0.7=c6f10ac6e3901eeb 235.4=a2d1ab554342f37c 355.1=2f439338398742b1",
+    "33x31 LL reset+vsc single 5bbf9d1e5b920e05 throw "
+    "0.7=e65a5599370f041e 13.4=35550513c2085b76 16.1=c48e773cbf396602",
+    "33x31 HL none dense e9f3c449ff100016 throw "
+    "0.7=e1f9e8b13023a52d 1022.4=8bf86db720e7f563 1689.1=53c492d77a786907",
+    "33x31 HL none sparse ddc8ec8426245ffe throw "
+    "0.7=b934b76ab7423cdc 199.4=71644a050ef59531 284.1=ca2fd620e704b385",
+    "33x31 HL none single 5bbf9d1e5b920e05 throw "
+    "0.7=753c7699fd12e356 5.4=a096e746d510102b 5.1=d03b046a63b9e173",
+    "33x31 HL reset dense de58d508695e7158 throw "
+    "0.7=23601df2521bad5a 1022.4=eafcf6f2aa30b5cc 1687.1=28c06dbd156a2111",
+    "33x31 HL reset sparse 0dfbf79e24960b05 throw "
+    "0.7=7da5a01a7956f80f 237.4=cbe821014d0657c9 355.1=1a6ace935d4c728e",
+    "33x31 HL reset single 5bbf9d1e5b920e05 throw "
+    "0.7=56f68fc00bd62cd8 13.4=46390fbb6b23a961 16.1=c48e773cbf396602",
+    "33x31 HL vsc dense 7e2d5fddc6db96c7 throw "
+    "0.7=5e3cd3f690f5dea2 1030.4=9afc0c3e4b6f084d 1696.1=56bda4b3468794e0",
+    "33x31 HL vsc sparse 09b3d8c789767e9f throw "
+    "0.7=bc80e86e0d64d78e 223.4=b122d764e3f523a2 312.1=695fa2d417942fdc",
+    "33x31 HL vsc single 5bbf9d1e5b920e05 throw "
+    "0.7=e60a146489d6abca 5.4=d8bcfa81b9c0ed5c 5.1=332fea7d1d8c73b9",
+    "33x31 HL reset+vsc dense 016ccdafd0a32f76 throw "
+    "0.7=8df90fd012926ed6 1026.4=1f4bd39fb9dd9d75 1688.1=3a0929789690d719",
+    "33x31 HL reset+vsc sparse 73d93eddfd5a45e2 throw "
+    "0.7=05521b3d036344eb 236.4=2e3af099197c36a0 355.1=dce6bcd417a0ea56",
+    "33x31 HL reset+vsc single 5bbf9d1e5b920e05 throw "
+    "0.7=3c2be1d0365de95a 13.4=5b6519b46b184397 16.1=c48e773cbf396602",
+    "33x31 LH none dense e9f3c449ff100016 throw "
+    "0.7=783856fb15048355 1022.4=e94b95f98a7d9905 1689.1=de408ec02eefa30f",
+    "33x31 LH none sparse ddc8ec8426245ffe throw "
+    "0.7=6c79da60057e1569 200.4=ad6b59a64437cbea 284.1=10e19e9e1ce2436b",
+    "33x31 LH none single 5bbf9d1e5b920e05 throw "
+    "0.7=1b1c3cabac5450fd 5.4=8b65f3bbb955c422 5.1=184a3968ec7c5c24",
+    "33x31 LH reset dense de58d508695e7158 throw "
+    "0.7=7b8e969425b0acb8 1021.4=f49605d9c1474bfd 1686.1=28c06dbd156a2111",
+    "33x31 LH reset sparse 0dfbf79e24960b05 throw "
+    "0.7=6b2ee3d6291638a0 236.4=4ae1b313d5be24e1 353.1=1a6ace935d4c728e",
+    "33x31 LH reset single 5bbf9d1e5b920e05 throw "
+    "0.7=5e29914c1484b65f 13.4=a0281d2fc1179273 16.1=c48e773cbf396602",
+    "33x31 LH vsc dense 7e2d5fddc6db96c7 throw "
+    "0.7=07c476c69a7cbc13 1028.4=41f9a68faa13a6e8 1694.1=56bda4b3468794e0",
+    "33x31 LH vsc sparse 09b3d8c789767e9f throw "
+    "0.7=d03e94a30838b556 221.4=0d3a90371d8da84b 311.1=695fa2d417942fdc",
+    "33x31 LH vsc single 5bbf9d1e5b920e05 throw "
+    "0.7=dee22c80cbc2308f 5.4=8b65f3bbb955c422 5.1=f7725fcbeff2cbe7",
+    "33x31 LH reset+vsc dense 016ccdafd0a32f76 throw "
+    "0.7=7a828f4237d82446 1026.4=5a8e3da7a9a8b25f 1687.1=6a95d3aa865fa00c",
+    "33x31 LH reset+vsc sparse 73d93eddfd5a45e2 throw "
+    "0.7=c6f10ac6e3901eeb 235.4=a2d1ab554342f37c 355.1=2f439338398742b1",
+    "33x31 LH reset+vsc single 5bbf9d1e5b920e05 throw "
+    "0.7=e65a5599370f041e 13.4=35550513c2085b76 16.1=c48e773cbf396602",
+    "33x31 HH none dense e9f3c449ff100016 throw "
+    "0.7=2061b29666e5c4e1 1023.4=e17e7aef49078293 1690.1=de408ec02eefa30f",
+    "33x31 HH none sparse ddc8ec8426245ffe throw "
+    "0.7=96f4e0a91a423819 199.4=e1f0b90c4da911c5 283.1=ca2fd620e704b385",
+    "33x31 HH none single 5bbf9d1e5b920e05 throw "
+    "0.7=74691d24f3e69c2c 5.4=21b3da205cf367ed 5.1=743c95c4bb845831",
+    "33x31 HH reset dense de58d508695e7158 throw "
+    "0.7=7fca4d28898384b2 1025.4=1386b3d040a9e0eb 1690.1=28c06dbd156a2111",
+    "33x31 HH reset sparse 0dfbf79e24960b05 throw "
+    "0.7=fe9229f0622a729f 234.4=05058a7778622f22 351.1=1a6ace935d4c728e",
+    "33x31 HH reset single 5bbf9d1e5b920e05 throw "
+    "0.7=13e379afbed3ce6c 12.4=95951e09ffbbaf0a 14.1=56782b962bb935ee",
+    "33x31 HH vsc dense 7e2d5fddc6db96c7 throw "
+    "0.7=e88a903a4279faa1 1029.4=f86b35bcccbc2f2d 1694.1=ed1794a0777159ae",
+    "33x31 HH vsc sparse 09b3d8c789767e9f throw "
+    "0.7=83caa77656ff3fdc 219.4=88225ee77ccccd9b 308.1=695fa2d417942fdc",
+    "33x31 HH vsc single 5bbf9d1e5b920e05 throw "
+    "0.7=c7413cc519c66955 5.4=21b3da205cf367ed 5.1=c3ce735a550a58a7",
+    "33x31 HH reset+vsc dense 016ccdafd0a32f76 throw "
+    "0.7=8f4a14dbb4590882 1025.4=caa6307bfe8206fa 1687.1=3a0929789690d719",
+    "33x31 HH reset+vsc sparse 73d93eddfd5a45e2 throw "
+    "0.7=ec789f4a95bf5ff8 234.4=6b24ba9a69d0026f 353.1=2f439338398742b1",
+    "33x31 HH reset+vsc single 5bbf9d1e5b920e05 throw "
+    "0.7=7b4183d9b2e02ebd 12.4=e63d0aa6e65706fb 14.1=56782b962bb935ee",
+};
+
+TEST(T1Block, DecoderOutputPinned) {
+  std::vector<std::string> rows;
+  for (const PinCase& c : pin_cases()) rows.push_back(decoder_row(c));
+  ASSERT_EQ(rows.size(), std::size(kPinnedT1DecoderRows));
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i], kPinnedT1DecoderRows[i]) << "row " << i;
   }
 }
 
