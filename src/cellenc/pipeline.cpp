@@ -4,6 +4,7 @@
 #include <optional>
 
 #include "cellenc/kernels.hpp"
+#include "cellenc/sample_policy.hpp"
 #include "cellenc/stage_mct.hpp"
 #include "cellenc/stage_quant.hpp"
 #include "cellenc/stage_rate.hpp"
@@ -85,6 +86,26 @@ cell::StageTiming stage_read(cell::Machine& m, const Image& img,
                h * img.components() * 64;
   };
   return m.run_data_parallel("read", spe_work, ppe_work);
+}
+
+/// One component's subband skeleton: the code-block grid of every band and
+/// its quantization step (1.0 on the reversible path).
+jp2k::TileComponent component_skeleton(std::size_t w, std::size_t h,
+                                       const jp2k::CodingParams& params) {
+  jp2k::TileComponent tc;
+  for (const auto& info : jp2k::subband_layout(w, h, params.levels)) {
+    jp2k::Subband sb;
+    sb.info = info;
+    sb.quant_step =
+        params.wavelet == jp2k::WaveletKind::kReversible53
+            ? 1.0
+            : jp2k::quant_step_for_band(
+                  jp2k::effective_base_quant_step(params), params.wavelet,
+                  info.level, info.orient, params.levels);
+    jp2k::make_block_grid(sb, params.cb_width, params.cb_height);
+    tc.subbands.push_back(std::move(sb));
+  }
+  return tc;
 }
 
 /// Attaches an InvariantAudit to the machine for the encode's lifetime and
@@ -202,7 +223,6 @@ TileFrontResult encode_tile_front(cell::Machine& machine, const Image& img,
 
   std::vector<Span2d<const Sample>> coeff_views;
   std::vector<Plane> qplanes;
-  std::vector<AlignedBuffer<float>> fplanes;
 
   if (params.wavelet == jp2k::WaveletKind::kReversible53) {
     // --- Level shift + RCT --------------------------------------------------
@@ -211,7 +231,6 @@ TileFrontResult encode_tile_front(cell::Machine& machine, const Image& img,
 
     // --- DWT ----------------------------------------------------------------
     cell::StageTiming dwt_t;
-    dwt_t.name = "dwt";
     for (std::size_t c = 0; c < ncomp; ++c) {
       dwt_t += stage_dwt53(machine, work[c].view(), params.levels, dwt, bk);
     }
@@ -220,102 +239,54 @@ TileFrontResult encode_tile_front(cell::Machine& machine, const Image& img,
 
     // --- Tile skeleton ------------------------------------------------------
     for (std::size_t c = 0; c < ncomp; ++c) {
-      jp2k::TileComponent tc;
-      for (const auto& info : jp2k::subband_layout(w, h, params.levels)) {
-        jp2k::Subband sb;
-        sb.info = info;
-        sb.quant_step = 1.0;
-        jp2k::make_block_grid(sb, params.cb_width, params.cb_height);
-        tc.subbands.push_back(std::move(sb));
-      }
-      tile.components.push_back(std::move(tc));
+      tile.components.push_back(component_skeleton(w, h, params));
       coeff_views.push_back(work[c].view());
     }
-  } else if (params.fixed_point_97) {
-    // --- Fixed-point lossy path (paper §4 "before") --------------------------
-    std::vector<Plane> fxplanes;
-    fxplanes.reserve(ncomp);
-    for (std::size_t c = 0; c < ncomp; ++c) fxplanes.emplace_back(w, h);
-    res.stages.push_back(
-        stage_mct_lossy_fixed(machine, work, fxplanes, color, depth, bk));
-
-    cell::StageTiming dwt_t;
-    for (std::size_t c = 0; c < ncomp; ++c) {
-      dwt_t += stage_dwt97_fixed(machine, fxplanes[c].view(), params.levels,
-                                 dwt, bk);
-    }
-    dwt_t.name = "dwt";
-    res.stages.push_back(dwt_t);
-
-    cell::StageTiming quant_t;
-    qplanes.reserve(ncomp);
-    for (std::size_t c = 0; c < ncomp; ++c) {
-      jp2k::TileComponent tc;
-      for (const auto& info : jp2k::subband_layout(w, h, params.levels)) {
-        jp2k::Subband sb;
-        sb.info = info;
-        sb.quant_step = jp2k::quant_step_for_band(
-            jp2k::effective_base_quant_step(params), params.wavelet,
-            info.level, info.orient, params.levels);
-        jp2k::make_block_grid(sb, params.cb_width, params.cb_height);
-        tc.subbands.push_back(std::move(sb));
-      }
-      tile.components.push_back(std::move(tc));
-
-      qplanes.emplace_back(w, h);
-      quant_t += stage_quant_fixed(machine, fxplanes[c].view(),
-                                   qplanes[c].view(), tile.components[c],
-                                   bk);
-      coeff_views.push_back(qplanes[c].view());
-    }
-    quant_t.name = "quant";
-    res.stages.push_back(quant_t);
   } else {
-    // --- Level shift + ICT (into float planes) ------------------------------
-    const std::size_t stride = work[0].stride();
-    fplanes.reserve(ncomp);
-    for (std::size_t c = 0; c < ncomp; ++c) {
-      fplanes.emplace_back(stride * h);
-    }
-    // The paper's merged kernel reads the converted integer planes.
-    res.stages.push_back(
-        stage_mct_lossy(machine, work, fplanes, stride, color, depth, bk));
-
-    // --- DWT ----------------------------------------------------------------
-    cell::StageTiming dwt_t;
-    dwt_t.name = "dwt";
-    for (std::size_t c = 0; c < ncomp; ++c) {
-      Span2d<float> fv(fplanes[c].data(), w, h, stride);
-      dwt_t += stage_dwt97(machine, fv, params.levels, dwt, bk);
-    }
-    dwt_t.name = "dwt";
-    res.stages.push_back(dwt_t);
-
-    // --- Tile skeleton + quantization --------------------------------------
-    cell::StageTiming quant_t;
-    quant_t.name = "quant";
-    qplanes.reserve(ncomp);
-    for (std::size_t c = 0; c < ncomp; ++c) {
-      jp2k::TileComponent tc;
-      for (const auto& info : jp2k::subband_layout(w, h, params.levels)) {
-        jp2k::Subband sb;
-        sb.info = info;
-        sb.quant_step = jp2k::quant_step_for_band(
-            jp2k::effective_base_quant_step(params), params.wavelet,
-            info.level, info.orient, params.levels);
-        jp2k::make_block_grid(sb, params.cb_width, params.cb_height);
-        tc.subbands.push_back(std::move(sb));
+    // --- Lossy path over the sample policy: float 9/7, or the Q13 fixed
+    // point of the paper's §4 "before" configuration. ----------------------
+    const auto lossy = [&](auto policy) {
+      using P = decltype(policy);
+      using T = typename P::T;
+      // Level shift + ICT into coefficient planes of the working planes'
+      // stride; the paper's merged kernel reads the converted integer
+      // planes.
+      const std::size_t stride = work[0].stride();
+      std::vector<AlignedBuffer<T>> store;
+      std::vector<Span2d<T>> coeffs;
+      store.reserve(ncomp);
+      for (std::size_t c = 0; c < ncomp; ++c) {
+        store.emplace_back(stride * h);
+        coeffs.emplace_back(store[c].data(), w, h, stride);
       }
-      tile.components.push_back(std::move(tc));
+      res.stages.push_back(stage_mct_lossy<P>(
+          machine, work, coeffs, color, depth, bk));
 
-      qplanes.emplace_back(w, h);
-      Span2d<const float> fv(fplanes[c].data(), w, h, stride);
-      quant_t += stage_quant(machine, fv, qplanes[c].view(),
-                             tile.components[c], bk);
-      coeff_views.push_back(qplanes[c].view());
+      cell::StageTiming dwt_t;
+      for (std::size_t c = 0; c < ncomp; ++c) {
+        dwt_t += stage_dwt<P>(machine, coeffs[c], params.levels, dwt, bk);
+      }
+      dwt_t.name = "dwt";
+      res.stages.push_back(dwt_t);
+
+      // --- Tile skeleton + quantization ------------------------------------
+      cell::StageTiming quant_t;
+      qplanes.reserve(ncomp);
+      for (std::size_t c = 0; c < ncomp; ++c) {
+        tile.components.push_back(component_skeleton(w, h, params));
+        qplanes.emplace_back(w, h);
+        quant_t += stage_quant<P>(machine, coeffs[c], qplanes[c].view(),
+                                  tile.components[c], bk);
+        coeff_views.push_back(qplanes[c].view());
+      }
+      quant_t.name = "quant";
+      res.stages.push_back(quant_t);
+    };
+    if (params.fixed_point_97) {
+      lossy(FixedSamples{});
+    } else {
+      lossy(FloatSamples{});
     }
-    quant_t.name = "quant";
-    res.stages.push_back(quant_t);
   }
 
   // --- Tier-1 over the work queue; with hull capture the same workers also
@@ -335,6 +306,7 @@ TileFrontResult encode_tile_front(cell::Machine& machine, const Image& img,
 PipelineResult CellEncoder::encode(const Image& img,
                                    const jp2k::CodingParams& params,
                                    const PipelineOptions& opt) {
+  jp2k::validate_params(img, params);
   Timer wall;
   const jp2k::TileGrid grid = jp2k::TileGrid::plan(
       img.width(), img.height(), params.tiles_x, params.tiles_y);

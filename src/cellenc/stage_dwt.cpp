@@ -3,12 +3,10 @@
 #include <algorithm>
 
 #include "cellenc/kernels.hpp"
+#include "cellenc/sample_policy.hpp"
 #include "common/aligned_buffer.hpp"
 #include "common/error.hpp"
 #include "decomp/chunk.hpp"
-#include "jp2k/dwt53.hpp"
-#include "jp2k/dwt97.hpp"
-#include "jp2k/dwt_merged.hpp"
 
 namespace cj2k::cellenc {
 
@@ -117,6 +115,56 @@ void spe_vertical53_merged(cell::SpeContext& ctx,
   ctx.ls.reset();
 }
 
+/// Ring depth of the multipass vertical kernels.
+constexpr std::size_t kMultipassRing = 4;
+
+/// One lifting sweep of a multipass vertical kernel: the rows of `parity`
+/// stream through the `ring` of kMultipassRing rows, are lifted from their
+/// two neighbours by `lift_row(row, above, below)` and written back in
+/// place.  Tag-per-slot ring (see the merged kernels): row r keeps tag r%K
+/// in every sweep, so a sweep's fenced re-fetch of row r is ordered after
+/// the previous sweep's put of the same row without an inter-pass barrier.
+template <typename T, typename LiftRow>
+void lift_sweep(cell::SpeContext& ctx, Span2d<T> plane, std::size_t x0,
+                std::size_t cw, std::size_t hh, T* ring,
+                std::ptrdiff_t parity, const LiftRow& lift_row) {
+  constexpr std::size_t K = kMultipassRing;
+  const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(hh);
+  const auto slot = [&](std::ptrdiff_t i) {
+    return ring + static_cast<std::size_t>(mirror(i, n)) % K * cw;
+  };
+  const auto tag_of = [&](std::ptrdiff_t r) {
+    return static_cast<unsigned>(r) % static_cast<unsigned>(K);
+  };
+  std::ptrdiff_t loaded = -1;
+  std::ptrdiff_t waited = -1;
+  const auto fetch = [&](std::ptrdiff_t upto) {
+    upto = std::min(upto, n - 1);
+    while (loaded < upto) {
+      ++loaded;
+      dma_getf_row_tagged(ctx.dma,
+                          ring + static_cast<std::size_t>(loaded) % K * cw,
+                          plane.row(static_cast<std::size_t>(loaded)) + x0,
+                          cw, tag_of(loaded));
+    }
+  };
+  for (std::ptrdiff_t i = parity; i < n; i += 2) {
+    fetch(i + 2);
+    std::uint32_t mask = 0;
+    while (waited < std::min(i + 1, n - 1)) {
+      ++waited;
+      mask |= 1u << tag_of(waited);
+    }
+    if (mask != 0) ctx.dma.wait_tag_mask(mask);
+    ctx.dma.touch(slot(i + 1), cw * sizeof(T));
+    ctx.dma.touch(slot(i), cw * sizeof(T));
+    lift_row(slot(i), slot(i - 1), slot(i + 1));
+    dma_put_row_tagged(ctx.dma, slot(i),
+                       plane.row(static_cast<std::size_t>(i)) + x0, cw,
+                       tag_of(i));
+  }
+}
+
 /// Naive multipass vertical 5/3 (ablation A): predict sweep, update sweep,
 /// split sweep — each streams the whole group through the Local Store.
 void spe_vertical53_multipass(cell::SpeContext& ctx,
@@ -124,56 +172,18 @@ void spe_vertical53_multipass(cell::SpeContext& ctx,
                               Span2d<Sample> plane, std::size_t x0,
                               std::size_t cw, std::size_t hh,
                               Span2d<Sample> aux) {
-  const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(hh);
-  if (n < 2) return;
-  constexpr std::size_t K = 4;
-  Sample* ring = ctx.ls.alloc<Sample>(K * cw);
-  const auto slot = [&](std::ptrdiff_t i) {
-    return ring + static_cast<std::size_t>(mirror(i, n)) % K * cw;
-  };
-  const auto tag_of = [&](std::ptrdiff_t r) {
-    return static_cast<unsigned>(r) % static_cast<unsigned>(K);
-  };
-  // Tag-per-slot ring (see the merged kernel).  Row r keeps tag r%K across
-  // both sweeps, so a sweep's fenced re-fetch of row r is ordered after the
-  // previous sweep's put of the same row without an inter-pass barrier.
-  const auto sweep53 = [&](std::ptrdiff_t parity, const auto& lift_row) {
-    std::ptrdiff_t loaded = -1;
-    std::ptrdiff_t waited = -1;
-    const auto fetch = [&](std::ptrdiff_t upto) {
-      upto = std::min(upto, n - 1);
-      while (loaded < upto) {
-        ++loaded;
-        dma_getf_row_tagged(
-            ctx.dma, ring + static_cast<std::size_t>(loaded) % K * cw,
-            plane.row(static_cast<std::size_t>(loaded)) + x0, cw,
-            tag_of(loaded));
-      }
-    };
-    for (std::ptrdiff_t i = parity; i < n; i += 2) {
-      fetch(i + 2);
-      std::uint32_t mask = 0;
-      while (waited < std::min(i + 1, n - 1)) {
-        ++waited;
-        mask |= 1u << tag_of(waited);
-      }
-      if (mask != 0) ctx.dma.wait_tag_mask(mask);
-      ctx.dma.touch(slot(i + 1), cw * sizeof(Sample));
-      ctx.dma.touch(slot(i), cw * sizeof(Sample));
-      lift_row(i);
-      dma_put_row_tagged(ctx.dma, slot(i),
-                         plane.row(static_cast<std::size_t>(i)) + x0, cw,
-                         tag_of(i));
-    }
-  };
+  if (hh < 2) return;
+  Sample* ring = ctx.ls.alloc<Sample>(kMultipassRing * cw);
   // Pass 1: predict (write odd rows).
-  sweep53(1, [&](std::ptrdiff_t i) {
-    bk.predict53_row(ctx.simd, slot(i), slot(i - 1), slot(i + 1), cw);
-  });
+  lift_sweep(ctx, plane, x0, cw, hh, ring, 1,
+             [&](Sample* d, const Sample* a, const Sample* b) {
+               bk.predict53_row(ctx.simd, d, a, b, cw);
+             });
   // Pass 2: update (write even rows).
-  sweep53(0, [&](std::ptrdiff_t i) {
-    bk.update53_row(ctx.simd, slot(i), slot(i - 1), slot(i + 1), cw);
-  });
+  lift_sweep(ctx, plane, x0, cw, hh, ring, 0,
+             [&](Sample* d, const Sample* a, const Sample* b) {
+               bk.update53_row(ctx.simd, d, a, b, cw);
+             });
   // Pass 3: split — low rows compact in place, high rows via aux.  The
   // compaction writes row i/2 after row i/2 was read, so each get is
   // claimed before issuing the put that could otherwise overtake it on a
@@ -205,15 +215,19 @@ void spe_vertical53_multipass(cell::SpeContext& ctx,
 
 /// Merged vertical 9/7: four lifting stages + scaling + emission fused into
 /// one streaming sweep (Kutil-style single loop, K-row Local Store ring).
+/// The policy supplies the lifting-step list and the row kernels: float, or
+/// Q13 fixed point with emulated-multiply lifting steps.
+template <typename P>
 void spe_vertical97_merged(cell::SpeContext& ctx,
                            const backend::KernelBackend& bk,
-                           Span2d<float> plane, std::size_t x0,
+                           Span2d<typename P::T> plane, std::size_t x0,
                            std::size_t cw, std::size_t hh,
-                           Span2d<float> aux) {
+                           Span2d<typename P::T> aux) {
+  using T = typename P::T;
   const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(hh);
   if (n < 2) return;
   constexpr std::size_t K = 10;
-  float* ring = ctx.ls.alloc<float>(K * cw);
+  T* ring = ctx.ls.alloc<T>(K * cw);
   const auto slot = [&](std::ptrdiff_t i) {
     return ring + static_cast<std::size_t>(mirror(i, n)) % K * cw;
   };
@@ -245,26 +259,26 @@ void spe_vertical97_merged(cell::SpeContext& ctx,
     }
     if (mask != 0) ctx.dma.wait_tag_mask(mask);
   };
-  const auto lift = [&](std::ptrdiff_t i, float c, std::ptrdiff_t parity) {
+  // Lifting step s updates the rows of parity (s + 1) & 1.
+  const auto lift = [&](std::ptrdiff_t i, int s) {
+    const std::ptrdiff_t parity = (s + 1) & 1;
     if (i < parity || i >= n || ((i ^ parity) & 1)) return;
-    ctx.dma.touch(slot(i + 1), cw * sizeof(float));
-    ctx.dma.touch(slot(i), cw * sizeof(float));
-    bk.lift97_row(ctx.simd, slot(i), slot(i - 1), slot(i + 1), c, cw);
+    ctx.dma.touch(slot(i + 1), cw * sizeof(T));
+    ctx.dma.touch(slot(i), cw * sizeof(T));
+    (bk.*P::kLiftRow)(ctx.simd, slot(i), slot(i - 1), slot(i + 1),
+                      P::kLift[s], cw);
   };
   const auto scale = [&](std::ptrdiff_t i) {
     if (i < 0 || i >= n) return;
-    ctx.dma.touch(slot(i), cw * sizeof(float));
-    bk.scale_row(ctx.simd, slot(i),
-                   (i & 1) ? jp2k::dwt97::kK : 1.0f / jp2k::dwt97::kK, cw);
+    ctx.dma.touch(slot(i), cw * sizeof(T));
+    (bk.*P::kScaleRow)(ctx.simd, slot(i),
+                       (i & 1) ? P::kScaleHigh : P::kScaleLow, cw);
   };
 
   const std::size_t nl = (hh + 1) / 2;
   for (std::ptrdiff_t f = 1; f < n + 6; f += 2) {
     ensure(f + 1);
-    lift(f, jp2k::dwt97::kAlpha, 1);
-    lift(f - 1, jp2k::dwt97::kBeta, 0);
-    lift(f - 2, jp2k::dwt97::kGamma, 1);
-    lift(f - 3, jp2k::dwt97::kDelta, 0);
+    for (int s = 0; s < 4; ++s) lift(f - s, s);
     scale(f - 4);
     if (f - 4 >= 1 && f - 4 < n && ((f - 4) & 1)) {
       dma_put_row_tagged(ctx.dma, slot(f - 4),
@@ -282,7 +296,7 @@ void spe_vertical97_merged(cell::SpeContext& ctx,
   // Compute-free fenced get->put chain for the parked high rows (see the
   // 5/3 merged kernel).
   ctx.dma.wait_all();
-  float* cbuf[2] = {ring, ring + cw};
+  T* cbuf[2] = {ring, ring + cw};
   for (std::size_t j = 0; nl + j < hh; ++j) {
     const unsigned t = static_cast<unsigned>(j & 1);
     dma_getf_row_tagged(ctx.dma, cbuf[t], aux.row(j) + x0, cw, t);
@@ -293,63 +307,27 @@ void spe_vertical97_merged(cell::SpeContext& ctx,
 }
 
 /// Naive multipass vertical 9/7 (six sweeps).
+template <typename P>
 void spe_vertical97_multipass(cell::SpeContext& ctx,
                               const backend::KernelBackend& bk,
-                              Span2d<float> plane, std::size_t x0,
+                              Span2d<typename P::T> plane, std::size_t x0,
                               std::size_t cw, std::size_t hh,
-                              Span2d<float> aux) {
-  const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(hh);
-  if (n < 2) return;
-  constexpr std::size_t K = 4;
-  float* ring = ctx.ls.alloc<float>(K * cw);
-  const auto slot = [&](std::ptrdiff_t i) {
-    return ring + static_cast<std::size_t>(mirror(i, n)) % K * cw;
-  };
-  const auto tag_of = [&](std::ptrdiff_t r) {
-    return static_cast<unsigned>(r) % static_cast<unsigned>(K);
-  };
-  // Tag-per-slot ring; row r keeps tag r%K across sweeps, so each sweep's
-  // fenced re-fetch of a row is ordered after the previous sweep's put of
-  // that row without inter-sweep barriers.
-  const auto sweep = [&](float c, std::ptrdiff_t parity) {
-    std::ptrdiff_t loaded = -1;
-    std::ptrdiff_t waited = -1;
-    const auto fetch = [&](std::ptrdiff_t upto) {
-      upto = std::min(upto, n - 1);
-      while (loaded < upto) {
-        ++loaded;
-        dma_getf_row_tagged(
-            ctx.dma, ring + static_cast<std::size_t>(loaded) % K * cw,
-            plane.row(static_cast<std::size_t>(loaded)) + x0, cw,
-            tag_of(loaded));
-      }
-    };
-    for (std::ptrdiff_t i = parity; i < n; i += 2) {
-      fetch(i + 2);
-      std::uint32_t mask = 0;
-      while (waited < std::min(i + 1, n - 1)) {
-        ++waited;
-        mask |= 1u << tag_of(waited);
-      }
-      if (mask != 0) ctx.dma.wait_tag_mask(mask);
-      ctx.dma.touch(slot(i + 1), cw * sizeof(float));
-      ctx.dma.touch(slot(i), cw * sizeof(float));
-      bk.lift97_row(ctx.simd, slot(i), slot(i - 1), slot(i + 1), c, cw);
-      dma_put_row_tagged(ctx.dma, slot(i),
-                         plane.row(static_cast<std::size_t>(i)) + x0, cw,
-                         tag_of(i));
-    }
-  };
-  sweep(jp2k::dwt97::kAlpha, 1);
-  sweep(jp2k::dwt97::kBeta, 0);
-  sweep(jp2k::dwt97::kGamma, 1);
-  sweep(jp2k::dwt97::kDelta, 0);
+                              Span2d<typename P::T> aux) {
+  using T = typename P::T;
+  if (hh < 2) return;
+  T* ring = ctx.ls.alloc<T>(kMultipassRing * cw);
+  for (int s = 0; s < 4; ++s) {
+    lift_sweep(ctx, plane, x0, cw, hh, ring, (s + 1) & 1,
+               [&](T* d, const T* a, const T* b) {
+                 (bk.*P::kLiftRow)(ctx.simd, d, a, b, P::kLift[s], cw);
+               });
+  }
   // Scaling sweep: ping/pong on tags 0/1.  The sweeps above put on tag
   // r%K, which no longer matches this sweep's tag map, so a barrier keeps
   // the re-reads ordered after those writes.
   {
     ctx.dma.wait_all();
-    float* buf[2] = {ring, ring + cw};
+    T* buf[2] = {ring, ring + cw};
     dma_getf_row_tagged(ctx.dma, buf[0], plane.row(0) + x0, cw, 0);
     for (std::size_t i = 0; i < hh; ++i) {
       const unsigned cur = static_cast<unsigned>(i & 1);
@@ -359,9 +337,9 @@ void spe_vertical97_multipass(cell::SpeContext& ctx,
                             nxt);
       }
       ctx.dma.wait_tag(cur);
-      ctx.dma.touch(buf[cur], cw * sizeof(float));
-      bk.scale_row(ctx.simd, buf[cur],
-                     (i & 1) ? jp2k::dwt97::kK : 1.0f / jp2k::dwt97::kK, cw);
+      ctx.dma.touch(buf[cur], cw * sizeof(T));
+      (bk.*P::kScaleRow)(ctx.simd, buf[cur],
+                         (i & 1) ? P::kScaleHigh : P::kScaleLow, cw);
       dma_put_row_tagged(ctx.dma, buf[cur], plane.row(i) + x0, cw, cur);
     }
     ctx.dma.wait_all();
@@ -369,7 +347,7 @@ void spe_vertical97_multipass(cell::SpeContext& ctx,
   // Split sweep: in-place compaction (see the 5/3 multipass kernel's
   // pass 3 for why each get is claimed before its put is issued).
   {
-    float* buf[2] = {ring, ring + cw};
+    T* buf[2] = {ring, ring + cw};
     const std::size_t nl = (hh + 1) / 2;
     for (std::size_t i = 0; i < hh; ++i) {
       const unsigned t = static_cast<unsigned>(i & 1);
@@ -392,144 +370,67 @@ void spe_vertical97_multipass(cell::SpeContext& ctx,
   ctx.ls.reset();
 }
 
-/// Merged vertical 9/7 in Q13 fixed point — same schedule as the float
-/// kernel, emulated-multiply lifting steps.
-void spe_vertical97_fixed_merged(cell::SpeContext& ctx,
-                                 const backend::KernelBackend& bk,
-                                 Span2d<Sample> plane, std::size_t x0,
-                                 std::size_t cw, std::size_t hh,
-                                 Span2d<Sample> aux) {
-  const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(hh);
-  if (n < 2) return;
-  constexpr std::size_t K = 10;
-  Sample* ring = ctx.ls.alloc<Sample>(K * cw);
-  const auto slot = [&](std::ptrdiff_t i) {
-    return ring + static_cast<std::size_t>(mirror(i, n)) % K * cw;
-  };
-  const auto tag_of = [&](std::ptrdiff_t r) {
-    return static_cast<unsigned>(r) % static_cast<unsigned>(K);
-  };
-  // Tag-per-slot ring with fenced gets and a one-row prefetch (see the
-  // float merged kernel).
-  std::ptrdiff_t loaded = -1;
-  std::ptrdiff_t waited = -1;
-  const auto fetch = [&](std::ptrdiff_t upto) {
-    upto = std::min(upto, n - 1);
-    while (loaded < upto) {
-      ++loaded;
-      dma_getf_row_tagged(ctx.dma,
-                          ring + static_cast<std::size_t>(loaded) % K * cw,
-                          plane.row(static_cast<std::size_t>(loaded)) + x0,
-                          cw, tag_of(loaded));
+/// The vertical kernel the policy runs on one column group: the 5/3 or 9/7
+/// merged sweep, or its multipass form when merging is off and the policy
+/// has one.
+template <typename P>
+void spe_vertical(cell::SpeContext& ctx, const backend::KernelBackend& bk,
+                  Span2d<typename P::T> plane, std::size_t x0, std::size_t cw,
+                  std::size_t hh, Span2d<typename P::T> aux, bool merged) {
+  if constexpr (P::kReversible) {
+    if (merged) {
+      spe_vertical53_merged(ctx, bk, plane, x0, cw, hh, aux);
+    } else {
+      spe_vertical53_multipass(ctx, bk, plane, x0, cw, hh, aux);
     }
-  };
-  const auto ensure = [&](std::ptrdiff_t upto) {
-    fetch(upto + 1);
-    upto = std::min(upto, n - 1);
-    std::uint32_t mask = 0;
-    while (waited < upto) {
-      ++waited;
-      mask |= 1u << tag_of(waited);
-    }
-    if (mask != 0) ctx.dma.wait_tag_mask(mask);
-  };
-  const auto lift = [&](std::ptrdiff_t i, Sample c_q13,
-                        std::ptrdiff_t parity) {
-    if (i < parity || i >= n || ((i ^ parity) & 1)) return;
-    ctx.dma.touch(slot(i + 1), cw * sizeof(Sample));
-    ctx.dma.touch(slot(i), cw * sizeof(Sample));
-    bk.lift97_fixed_row(ctx.simd, slot(i), slot(i - 1), slot(i + 1), c_q13,
-                          cw);
-  };
-  const auto scale = [&](std::ptrdiff_t i) {
-    if (i < 0 || i >= n) return;
-    ctx.dma.touch(slot(i), cw * sizeof(Sample));
-    bk.scale_fixed_row(
-        ctx.simd, slot(i),
-        (i & 1) ? jp2k::dwt97::kFxK : jp2k::dwt97::kFxInvK, cw);
-  };
-
-  const std::size_t nl = (hh + 1) / 2;
-  for (std::ptrdiff_t f = 1; f < n + 6; f += 2) {
-    ensure(f + 1);
-    lift(f, jp2k::dwt97::kFxAlpha, 1);
-    lift(f - 1, jp2k::dwt97::kFxBeta, 0);
-    lift(f - 2, jp2k::dwt97::kFxGamma, 1);
-    lift(f - 3, jp2k::dwt97::kFxDelta, 0);
-    scale(f - 4);
-    if (f - 4 >= 1 && f - 4 < n && ((f - 4) & 1)) {
-      dma_put_row_tagged(ctx.dma, slot(f - 4),
-                         aux.row(static_cast<std::size_t>((f - 4) / 2)) + x0,
-                         cw, tag_of(f - 4));
-    }
-    scale(f - 5);
-    if (f - 5 >= 0 && f - 5 < n && !((f - 5) & 1)) {
-      dma_put_row_tagged(
-          ctx.dma, slot(f - 5),
-          plane.row(static_cast<std::size_t>((f - 5) / 2)) + x0, cw,
-          tag_of(f - 5));
-    }
+  } else if (merged || !P::kMultipass) {
+    spe_vertical97_merged<P>(ctx, bk, plane, x0, cw, hh, aux);
+  } else {
+    spe_vertical97_multipass<P>(ctx, bk, plane, x0, cw, hh, aux);
   }
-  // Compute-free fenced get->put chain for the parked high rows.
-  ctx.dma.wait_all();
-  Sample* cbuf[2] = {ring, ring + cw};
-  for (std::size_t j = 0; nl + j < hh; ++j) {
-    const unsigned t = static_cast<unsigned>(j & 1);
-    dma_getf_row_tagged(ctx.dma, cbuf[t], aux.row(j) + x0, cw, t);
-    dma_putf_row_tagged(ctx.dma, cbuf[t], plane.row(nl + j) + x0, cw, t);
-  }
-  ctx.dma.wait_all();
-  ctx.ls.reset();
 }
-
-// ===========================================================================
-// Horizontal filtering
-// ===========================================================================
 
 }  // namespace
 
-cell::StageTiming stage_dwt53(cell::Machine& m, Span2d<Sample> plane,
-                              int levels, const DwtOptions& opt,
-                              const backend::KernelBackend& bk) {
+template <typename P>
+cell::StageTiming stage_dwt(cell::Machine& m, Span2d<typename P::T> plane,
+                            int levels, const DwtOptions& opt,
+                            const backend::KernelBackend& bk) {
+  using T = typename P::T;
   cell::StageTiming total;
-  total.name = "dwt53";
+  total.name = P::kDwtName;
   std::size_t ww = plane.width();
   std::size_t hh = plane.height();
-  std::vector<Sample> ppe_scratch;
+  std::vector<T> ppe_scratch;
 
   for (int l = 0; l < levels && (ww > 1 || hh > 1); ++l) {
     // Aux buffer shared by SPE groups and the PPE remainder.
     const auto plan =
         opt.colgroup_elems == 0
-            ? decomp::plan_chunks(ww, sizeof(Sample),
+            ? decomp::plan_chunks(ww, sizeof(T),
                                   static_cast<std::size_t>(m.num_spes()))
-            : decomp::plan_chunks_fixed_width(ww, sizeof(Sample),
+            : decomp::plan_chunks_fixed_width(ww, sizeof(T),
                                               opt.colgroup_elems);
-    AlignedBuffer<Sample> aux_store(plane.stride() * (hh / 2 + 1));
-    Span2d<Sample> aux(aux_store.data(), ww, hh / 2 + 1, plane.stride());
+    AlignedBuffer<T> aux_store(plane.stride() * (hh / 2 + 1));
+    Span2d<T> aux(aux_store.data(), ww, hh / 2 + 1, plane.stride());
 
     auto vwork = [&](int i, cell::SpeContext& ctx) {
       for (std::size_t g = static_cast<std::size_t>(i);
            g < plan.spe_chunks.size();
            g += static_cast<std::size_t>(std::max(1, m.num_spes()))) {
         const auto& ch = plan.spe_chunks[g];
-        if (opt.merged_vertical) {
-          spe_vertical53_merged(ctx, bk, plane, ch.x0, ch.width, hh, aux);
-        } else {
-          spe_vertical53_multipass(ctx, bk, plane, ch.x0, ch.width, hh, aux);
-        }
+        spe_vertical<P>(ctx, bk, plane, ch.x0, ch.width, hh, aux,
+                        opt.merged_vertical);
       }
     };
     auto vppe = [&](cell::OpCounters& c) {
       const auto& rem = plan.remainder;
       if (rem.width == 0) return;
-      auto region = plane.subview(rem.x0, 0, rem.width, hh);
-      std::vector<Sample> aux_vec;
-      jp2k::dwt_merged::vertical_analyze_53(region, aux_vec);
-      c.s_int += static_cast<std::uint64_t>(rem.width) * hh *
-                 kPpeLiftOpsPerSample * 2;
+      P::ppe_vertical(plane.subview(rem.x0, 0, rem.width, hh), ppe_scratch);
+      c.*P::kOps += static_cast<std::uint64_t>(rem.width) * hh *
+                    kPpeLiftOpsPerSample * P::kPpeLiftMul;
     };
-    total += m.run_data_parallel("dwt53-vertical", vwork, vppe);
+    total += m.run_data_parallel(P::kDwtVerticalName, vwork, vppe);
 
     // Horizontal.
     const auto rows = decomp::split_rows(
@@ -546,10 +447,9 @@ cell::StageTiming stage_dwt53(cell::Machine& m, Span2d<Sample> plane,
         // Ping/pong: lin is transformed in place, so the prefetch of row
         // y+1 into the other parity *must* be fenced — that buffer's
         // write-back from row y-1 may still be in flight on the same tag.
-        Sample* lin[2] = {ctx.ls.alloc<Sample>(pad),
-                          ctx.ls.alloc<Sample>(pad)};
-        Sample* even = ctx.ls.alloc<Sample>(pad / 2 + 4);
-        Sample* odd = ctx.ls.alloc<Sample>(pad / 2 + 4);
+        T* lin[2] = {ctx.ls.alloc<T>(pad), ctx.ls.alloc<T>(pad)};
+        T* even = ctx.ls.alloc<T>(pad / 2 + 4);
+        T* odd = ctx.ls.alloc<T>(pad / 2 + 4);
         const std::size_t nl = (ww + 1) / 2;
         dma_getf_row_tagged(ctx.dma, lin[0], plane.row(start), tw, 0);
         for (std::size_t y = start; y < start + count; ++y) {
@@ -560,234 +460,66 @@ cell::StageTiming stage_dwt53(cell::Machine& m, Span2d<Sample> plane,
                                 nxt);
           }
           ctx.dma.wait_tag(cur);
-          ctx.dma.touch(lin[cur], tw * sizeof(Sample));
-          bk.dwt53_h_row(ctx.simd, lin[cur], even, odd, ww);
+          ctx.dma.touch(lin[cur], tw * sizeof(T));
+          (bk.*P::kHorizontalRow)(ctx.simd, lin[cur], even, odd, ww);
           // Reassemble L|H contiguously so the row goes back in one
           // aligned DMA (writing the H half alone would start at an
           // arbitrary offset and violate the MFC alignment rules).
-          bk.ls_copy(ctx.simd, lin[cur], even, nl * sizeof(Sample));
+          bk.ls_copy(ctx.simd, lin[cur], even, nl * sizeof(T));
           if (ww > nl) {
-            bk.ls_copy(ctx.simd, lin[cur] + nl, odd,
-                    (ww - nl) * sizeof(Sample));
+            bk.ls_copy(ctx.simd, lin[cur] + nl, odd, (ww - nl) * sizeof(T));
           }
           dma_put_row_tagged(ctx.dma, lin[cur], plane.row(y), tw, cur);
         }
         ctx.dma.wait_all();
         ctx.ls.reset();
       };
-      total += m.run_data_parallel("dwt53-horizontal", hwork, nullptr);
+      total += m.run_data_parallel(P::kDwtHorizontalName, hwork, nullptr);
     } else {
       auto hppe = [&](cell::OpCounters& c) {
         ppe_scratch.resize(ww);
         for (std::size_t y = 0; y < hh; ++y) {
-          jp2k::dwt53::analyze(plane.row(y), ww, 1, ppe_scratch.data());
+          P::kPpeAnalyze(plane.row(y), ww, 1, ppe_scratch.data());
         }
-        c.s_int += static_cast<std::uint64_t>(ww) * hh *
-                   kPpeLiftOpsPerSample * 2;
+        c.*P::kOps += static_cast<std::uint64_t>(ww) * hh *
+                      kPpeLiftOpsPerSample * P::kPpeLiftMul;
       };
       total += m.run_data_parallel(
-          "dwt53-horizontal", [](int, cell::SpeContext&) {}, hppe);
+          P::kDwtHorizontalName, [](int, cell::SpeContext&) {}, hppe);
     }
 
     ww = (ww + 1) / 2;
     hh = (hh + 1) / 2;
   }
   return total;
+}
+
+template cell::StageTiming stage_dwt<IntSamples>(
+    cell::Machine&, Span2d<Sample>, int, const DwtOptions&,
+    const backend::KernelBackend&);
+template cell::StageTiming stage_dwt<FloatSamples>(
+    cell::Machine&, Span2d<float>, int, const DwtOptions&,
+    const backend::KernelBackend&);
+template cell::StageTiming stage_dwt<FixedSamples>(
+    cell::Machine&, Span2d<Sample>, int, const DwtOptions&,
+    const backend::KernelBackend&);
+
+cell::StageTiming stage_dwt53(cell::Machine& m, Span2d<Sample> plane,
+                              int levels, const DwtOptions& opt,
+                              const backend::KernelBackend& bk) {
+  return stage_dwt<IntSamples>(m, plane, levels, opt, bk);
 }
 
 cell::StageTiming stage_dwt97(cell::Machine& m, Span2d<float> plane,
                               int levels, const DwtOptions& opt,
                               const backend::KernelBackend& bk) {
-  cell::StageTiming total;
-  total.name = "dwt97";
-  std::size_t ww = plane.width();
-  std::size_t hh = plane.height();
-  std::vector<float> ppe_scratch;
-
-  for (int l = 0; l < levels && (ww > 1 || hh > 1); ++l) {
-    const auto plan =
-        opt.colgroup_elems == 0
-            ? decomp::plan_chunks(ww, sizeof(float),
-                                  static_cast<std::size_t>(m.num_spes()))
-            : decomp::plan_chunks_fixed_width(ww, sizeof(float),
-                                              opt.colgroup_elems);
-    AlignedBuffer<float> aux_store(plane.stride() * (hh / 2 + 1));
-    Span2d<float> aux(aux_store.data(), ww, hh / 2 + 1, plane.stride());
-
-    auto vwork = [&](int i, cell::SpeContext& ctx) {
-      for (std::size_t g = static_cast<std::size_t>(i);
-           g < plan.spe_chunks.size();
-           g += static_cast<std::size_t>(std::max(1, m.num_spes()))) {
-        const auto& ch = plan.spe_chunks[g];
-        if (opt.merged_vertical) {
-          spe_vertical97_merged(ctx, bk, plane, ch.x0, ch.width, hh, aux);
-        } else {
-          spe_vertical97_multipass(ctx, bk, plane, ch.x0, ch.width, hh, aux);
-        }
-      }
-    };
-    auto vppe = [&](cell::OpCounters& c) {
-      const auto& rem = plan.remainder;
-      if (rem.width == 0) return;
-      auto region = plane.subview(rem.x0, 0, rem.width, hh);
-      std::vector<float> aux_vec;
-      jp2k::dwt_merged::vertical_analyze_97(region, aux_vec);
-      c.s_float += static_cast<std::uint64_t>(rem.width) * hh *
-                   kPpeLiftOpsPerSample * 3;
-    };
-    total += m.run_data_parallel("dwt97-vertical", vwork, vppe);
-
-    const auto rows = decomp::split_rows(
-        hh, static_cast<std::size_t>(std::max(1, m.num_spes())));
-    if (m.num_spes() > 0) {
-      auto hwork = [&](int i, cell::SpeContext& ctx) {
-        if (static_cast<std::size_t>(i) >= rows.size()) return;
-        const auto [start, count] = rows[static_cast<std::size_t>(i)];
-        const std::size_t pad = round_up(ww, 32);
-        // Whole-cache-line transfers, fenced ping/pong (see the 5/3
-        // kernel above).
-        const std::size_t tw = padded_row_elems(ww, plane.stride());
-        float* lin[2] = {ctx.ls.alloc<float>(pad), ctx.ls.alloc<float>(pad)};
-        float* even = ctx.ls.alloc<float>(pad / 2 + 4);
-        float* odd = ctx.ls.alloc<float>(pad / 2 + 4);
-        const std::size_t nl = (ww + 1) / 2;
-        dma_getf_row_tagged(ctx.dma, lin[0], plane.row(start), tw, 0);
-        for (std::size_t y = start; y < start + count; ++y) {
-          const unsigned cur = static_cast<unsigned>((y - start) & 1);
-          const unsigned nxt = cur ^ 1u;
-          if (y + 1 < start + count) {
-            dma_getf_row_tagged(ctx.dma, lin[nxt], plane.row(y + 1), tw,
-                                nxt);
-          }
-          ctx.dma.wait_tag(cur);
-          ctx.dma.touch(lin[cur], tw * sizeof(float));
-          bk.dwt97_h_row(ctx.simd, lin[cur], even, odd, ww);
-          bk.ls_copy(ctx.simd, lin[cur], even, nl * sizeof(float));
-          if (ww > nl) {
-            bk.ls_copy(ctx.simd, lin[cur] + nl, odd, (ww - nl) * sizeof(float));
-          }
-          dma_put_row_tagged(ctx.dma, lin[cur], plane.row(y), tw, cur);
-        }
-        ctx.dma.wait_all();
-        ctx.ls.reset();
-      };
-      total += m.run_data_parallel("dwt97-horizontal", hwork, nullptr);
-    } else {
-      auto hppe = [&](cell::OpCounters& c) {
-        ppe_scratch.resize(ww);
-        for (std::size_t y = 0; y < hh; ++y) {
-          jp2k::dwt97::analyze(plane.row(y), ww, 1, ppe_scratch.data());
-        }
-        c.s_float += static_cast<std::uint64_t>(ww) * hh *
-                     kPpeLiftOpsPerSample * 3;
-      };
-      total += m.run_data_parallel(
-          "dwt97-horizontal", [](int, cell::SpeContext&) {}, hppe);
-    }
-
-    ww = (ww + 1) / 2;
-    hh = (hh + 1) / 2;
-  }
-  return total;
+  return stage_dwt<FloatSamples>(m, plane, levels, opt, bk);
 }
 
 cell::StageTiming stage_dwt97_fixed(cell::Machine& m, Span2d<Sample> plane,
                                     int levels, const DwtOptions& opt,
                                     const backend::KernelBackend& bk) {
-  cell::StageTiming total;
-  total.name = "dwt97fx";
-  std::size_t ww = plane.width();
-  std::size_t hh = plane.height();
-  std::vector<Sample> ppe_scratch;
-
-  for (int l = 0; l < levels && (ww > 1 || hh > 1); ++l) {
-    const auto plan =
-        opt.colgroup_elems == 0
-            ? decomp::plan_chunks(ww, sizeof(Sample),
-                                  static_cast<std::size_t>(m.num_spes()))
-            : decomp::plan_chunks_fixed_width(ww, sizeof(Sample),
-                                              opt.colgroup_elems);
-    AlignedBuffer<Sample> aux_store(plane.stride() * (hh / 2 + 1));
-    Span2d<Sample> aux(aux_store.data(), ww, hh / 2 + 1, plane.stride());
-
-    auto vwork = [&](int i, cell::SpeContext& ctx) {
-      for (std::size_t g = static_cast<std::size_t>(i);
-           g < plan.spe_chunks.size();
-           g += static_cast<std::size_t>(std::max(1, m.num_spes()))) {
-        const auto& ch = plan.spe_chunks[g];
-        spe_vertical97_fixed_merged(ctx, bk, plane, ch.x0, ch.width, hh, aux);
-      }
-    };
-    auto vppe = [&](cell::OpCounters& c) {
-      const auto& rem = plan.remainder;
-      if (rem.width == 0) return;
-      // PPE remainder: plain per-column fixed analysis (lifting sweeps
-      // only; the merged schedule is an SPE-side DMA optimization).
-      ppe_scratch.resize(hh);
-      for (std::size_t x = 0; x < rem.width; ++x) {
-        jp2k::dwt97::analyze_fixed(plane.data() + rem.x0 + x, hh,
-                                   plane.stride(), ppe_scratch.data());
-      }
-      c.s_int += static_cast<std::uint64_t>(rem.width) * hh *
-                 kPpeLiftOpsPerSample * 4;
-    };
-    total += m.run_data_parallel("dwt97fx-vertical", vwork, vppe);
-
-    const auto rows = decomp::split_rows(
-        hh, static_cast<std::size_t>(std::max(1, m.num_spes())));
-    if (m.num_spes() > 0) {
-      auto hwork = [&](int i, cell::SpeContext& ctx) {
-        if (static_cast<std::size_t>(i) >= rows.size()) return;
-        const auto [start, count] = rows[static_cast<std::size_t>(i)];
-        const std::size_t pad = round_up(ww, 32);
-        // Whole-cache-line transfers, fenced ping/pong (see the 5/3
-        // kernel above).
-        const std::size_t tw = padded_row_elems(ww, plane.stride());
-        Sample* lin[2] = {ctx.ls.alloc<Sample>(pad),
-                          ctx.ls.alloc<Sample>(pad)};
-        Sample* even = ctx.ls.alloc<Sample>(pad / 2 + 4);
-        Sample* odd = ctx.ls.alloc<Sample>(pad / 2 + 4);
-        const std::size_t nl = (ww + 1) / 2;
-        dma_getf_row_tagged(ctx.dma, lin[0], plane.row(start), tw, 0);
-        for (std::size_t y = start; y < start + count; ++y) {
-          const unsigned cur = static_cast<unsigned>((y - start) & 1);
-          const unsigned nxt = cur ^ 1u;
-          if (y + 1 < start + count) {
-            dma_getf_row_tagged(ctx.dma, lin[nxt], plane.row(y + 1), tw,
-                                nxt);
-          }
-          ctx.dma.wait_tag(cur);
-          ctx.dma.touch(lin[cur], tw * sizeof(Sample));
-          bk.dwt97_fixed_h_row(ctx.simd, lin[cur], even, odd, ww);
-          bk.ls_copy(ctx.simd, lin[cur], even, nl * sizeof(Sample));
-          if (ww > nl) {
-            bk.ls_copy(ctx.simd, lin[cur] + nl, odd,
-                    (ww - nl) * sizeof(Sample));
-          }
-          dma_put_row_tagged(ctx.dma, lin[cur], plane.row(y), tw, cur);
-        }
-        ctx.dma.wait_all();
-        ctx.ls.reset();
-      };
-      total += m.run_data_parallel("dwt97fx-horizontal", hwork, nullptr);
-    } else {
-      auto hppe = [&](cell::OpCounters& c) {
-        ppe_scratch.resize(ww);
-        for (std::size_t y = 0; y < hh; ++y) {
-          jp2k::dwt97::analyze_fixed(plane.row(y), ww, 1,
-                                     ppe_scratch.data());
-        }
-        c.s_int += static_cast<std::uint64_t>(ww) * hh *
-                   kPpeLiftOpsPerSample * 4;
-      };
-      total += m.run_data_parallel(
-          "dwt97fx-horizontal", [](int, cell::SpeContext&) {}, hppe);
-    }
-
-    ww = (ww + 1) / 2;
-    hh = (hh + 1) / 2;
-  }
-  return total;
+  return stage_dwt<FixedSamples>(m, plane, levels, opt, bk);
 }
 
 }  // namespace cj2k::cellenc

@@ -24,7 +24,16 @@ struct DwtOptions {
                                    ///< column-group width (ablation C).
 };
 
-/// In-place multilevel 5/3; returns the summed stage timing across levels.
+/// In-place multilevel DWT over a sample policy (cellenc/sample_policy.hpp):
+/// IntSamples (5/3), FloatSamples (9/7) or FixedSamples (Q13 9/7, which
+/// always uses the merged vertical schedule).  Returns the summed stage
+/// timing across levels.
+template <typename P>
+cell::StageTiming stage_dwt(cell::Machine& m, Span2d<typename P::T> plane,
+                            int levels, const DwtOptions& opt,
+                            const backend::KernelBackend& bk);
+
+/// In-place multilevel 5/3.
 cell::StageTiming stage_dwt53(
     cell::Machine& m, Span2d<Sample> plane, int levels,
     const DwtOptions& opt = {},

@@ -1,6 +1,7 @@
 #include "cellenc/stage_mct.hpp"
 
 #include "cellenc/kernels.hpp"
+#include "cellenc/sample_policy.hpp"
 #include "common/error.hpp"
 #include "decomp/chunk.hpp"
 #include "jp2k/mct.hpp"
@@ -106,21 +107,18 @@ cell::StageTiming stage_mct_lossless(cell::Machine& m,
     const auto& rem = plan.remainder;
     if (rem.width == 0) return;
     for (std::size_t y = 0; y < h; ++y) {
+      std::size_t cc = 0;
       if (color) {
         jp2k::shift_rct_forward_row(planes[0].row(y) + rem.x0,
                                     planes[1].row(y) + rem.x0,
                                     planes[2].row(y) + rem.x0, rem.width,
                                     depth);
-        c.s_int += 3 * rem.width * kPpeShiftRctOps / 3;
-        for (std::size_t cc = 3; cc < planes.size(); ++cc) {
-          jp2k::level_shift_row(planes[cc].row(y) + rem.x0, rem.width, depth);
-          c.s_int += rem.width * kPpeShiftOps;
-        }
-      } else {
-        for (auto& plane : planes) {
-          jp2k::level_shift_row(plane.row(y) + rem.x0, rem.width, depth);
-          c.s_int += rem.width * kPpeShiftOps;
-        }
+        c.s_int += rem.width * kPpeShiftRctOps;
+        cc = 3;
+      }
+      for (; cc < planes.size(); ++cc) {
+        jp2k::level_shift_row(planes[cc].row(y) + rem.x0, rem.width, depth);
+        c.s_int += rem.width * kPpeShiftOps;
       }
     }
   };
@@ -128,12 +126,13 @@ cell::StageTiming stage_mct_lossless(cell::Machine& m,
   return m.run_data_parallel("levelshift+mct", spe_work, ppe_work);
 }
 
+template <typename P>
 cell::StageTiming stage_mct_lossy(cell::Machine& m,
                                   const std::vector<Plane>& planes,
-                                  std::vector<AlignedBuffer<float>>& fplanes,
-                                  std::size_t stride, bool color,
-                                  unsigned depth,
+                                  const std::vector<Span2d<typename P::T>>& out,
+                                  bool color, unsigned depth,
                                   const backend::KernelBackend& bk) {
+  using T = typename P::T;
   const std::size_t w = planes[0].width();
   const std::size_t h = planes[0].height();
   const std::size_t ncomp = planes.size();
@@ -151,11 +150,11 @@ cell::StageTiming stage_mct_lossy(cell::Machine& m,
       Sample* lr[2] = {ctx.ls.alloc<Sample>(cw), ctx.ls.alloc<Sample>(cw)};
       Sample* lg[2] = {ctx.ls.alloc<Sample>(cw), ctx.ls.alloc<Sample>(cw)};
       Sample* lb[2] = {ctx.ls.alloc<Sample>(cw), ctx.ls.alloc<Sample>(cw)};
-      float* fy[2] = {ctx.ls.alloc<float>(cw), ctx.ls.alloc<float>(cw)};
-      float* fcb[2] = {ctx.ls.alloc<float>(cw), ctx.ls.alloc<float>(cw)};
-      float* fcr[2] = {ctx.ls.alloc<float>(cw), ctx.ls.alloc<float>(cw)};
+      T* fy[2] = {ctx.ls.alloc<T>(cw), ctx.ls.alloc<T>(cw)};
+      T* fcb[2] = {ctx.ls.alloc<T>(cw), ctx.ls.alloc<T>(cw)};
+      T* fcr[2] = {ctx.ls.alloc<T>(cw), ctx.ls.alloc<T>(cw)};
       Sample* lx = ncomp > 3 ? ctx.ls.alloc<Sample>(cw) : nullptr;
-      float* fx = ncomp > 3 ? ctx.ls.alloc<float>(cw) : nullptr;
+      T* fx = ncomp > 3 ? ctx.ls.alloc<T>(cw) : nullptr;
       dma_get_row_tagged(ctx.dma, lr[0], planes[0].row(0) + ch.x0, cw, 0);
       dma_get_row_tagged(ctx.dma, lg[0], planes[1].row(0) + ch.x0, cw, 0);
       dma_get_row_tagged(ctx.dma, lb[0], planes[2].row(0) + ch.x0, cw, 0);
@@ -174,36 +173,32 @@ cell::StageTiming stage_mct_lossy(cell::Machine& m,
         ctx.dma.touch(lr[cur], cw * sizeof(Sample));
         ctx.dma.touch(lg[cur], cw * sizeof(Sample));
         ctx.dma.touch(lb[cur], cw * sizeof(Sample));
-        ctx.dma.touch(fy[cur], cw * sizeof(float));
-        ctx.dma.touch(fcb[cur], cw * sizeof(float));
-        ctx.dma.touch(fcr[cur], cw * sizeof(float));
-        bk.shift_ict_row(ctx.simd, lr[cur], lg[cur], lb[cur], fy[cur],
-                           fcb[cur], fcr[cur], cw, depth);
-        dma_put_row_tagged(ctx.dma, fy[cur], &fplanes[0][y * stride + ch.x0],
-                           cw, cur);
-        dma_put_row_tagged(ctx.dma, fcb[cur],
-                           &fplanes[1][y * stride + ch.x0], cw, cur);
-        dma_put_row_tagged(ctx.dma, fcr[cur],
-                           &fplanes[2][y * stride + ch.x0], cw, cur);
+        ctx.dma.touch(fy[cur], cw * sizeof(T));
+        ctx.dma.touch(fcb[cur], cw * sizeof(T));
+        ctx.dma.touch(fcr[cur], cw * sizeof(T));
+        (bk.*P::kShiftIctRow)(ctx.simd, lr[cur], lg[cur], lb[cur], fy[cur],
+                              fcb[cur], fcr[cur], cw, depth);
+        dma_put_row_tagged(ctx.dma, fy[cur], out[0].row(y) + ch.x0, cw, cur);
+        dma_put_row_tagged(ctx.dma, fcb[cur], out[1].row(y) + ch.x0, cw, cur);
+        dma_put_row_tagged(ctx.dma, fcr[cur], out[2].row(y) + ch.x0, cw, cur);
         for (std::size_t c = 3; c < ncomp; ++c) {
           dma_get_row_tagged(ctx.dma, lx, planes[c].row(y) + ch.x0, cw, 2);
           ctx.dma.wait_tag(2);
           ctx.dma.touch(lx, cw * sizeof(Sample));
-          ctx.dma.touch(fx, cw * sizeof(float));
-          bk.shift_to_float_row(ctx.simd, lx, fx, cw, depth);
-          dma_put_row_tagged(ctx.dma, fx, &fplanes[c][y * stride + ch.x0],
-                             cw, 2);
+          ctx.dma.touch(fx, cw * sizeof(T));
+          (bk.*P::kShiftRow)(ctx.simd, lx, fx, cw, depth);
+          dma_put_row_tagged(ctx.dma, fx, out[c].row(y) + ch.x0, cw, 2);
         }
       }
     } else {
       Sample* lr[2] = {ctx.ls.alloc<Sample>(cw), ctx.ls.alloc<Sample>(cw)};
-      float* fy[2] = {ctx.ls.alloc<float>(cw), ctx.ls.alloc<float>(cw)};
+      T* fy[2] = {ctx.ls.alloc<T>(cw), ctx.ls.alloc<T>(cw)};
       const std::size_t nitems = h * ncomp;
       const auto src = [&](std::size_t k) {
         return planes[k % ncomp].row(k / ncomp) + ch.x0;
       };
       const auto dst = [&](std::size_t k) {
-        return &fplanes[k % ncomp][(k / ncomp) * stride + ch.x0];
+        return out[k % ncomp].row(k / ncomp) + ch.x0;
       };
       dma_get_row_tagged(ctx.dma, lr[0], src(0), cw, 0);
       for (std::size_t k = 0; k < nitems; ++k) {
@@ -214,8 +209,8 @@ cell::StageTiming stage_mct_lossy(cell::Machine& m,
         }
         ctx.dma.wait_tag(cur);
         ctx.dma.touch(lr[cur], cw * sizeof(Sample));
-        ctx.dma.touch(fy[cur], cw * sizeof(float));
-        bk.shift_to_float_row(ctx.simd, lr[cur], fy[cur], cw, depth);
+        ctx.dma.touch(fy[cur], cw * sizeof(T));
+        (bk.*P::kShiftRow)(ctx.simd, lr[cur], fy[cur], cw, depth);
         dma_put_row_tagged(ctx.dma, fy[cur], dst(k), cw, cur);
       }
     }
@@ -226,37 +221,47 @@ cell::StageTiming stage_mct_lossy(cell::Machine& m,
   auto ppe_work = [&](cell::OpCounters& c) {
     const auto& rem = plan.remainder;
     if (rem.width == 0) return;
-    const float off = static_cast<float>(Sample{1} << (depth - 1));
     for (std::size_t y = 0; y < h; ++y) {
+      std::size_t cc = 0;
       if (color) {
-        jp2k::shift_ict_forward_row(
-            planes[0].row(y) + rem.x0, planes[1].row(y) + rem.x0,
-            planes[2].row(y) + rem.x0, &fplanes[0][y * stride + rem.x0],
-            &fplanes[1][y * stride + rem.x0],
-            &fplanes[2][y * stride + rem.x0], rem.width, depth);
-        c.s_float += rem.width * kPpeShiftIctOps;
-        for (std::size_t cc = 3; cc < ncomp; ++cc) {
-          const Sample* src = planes[cc].row(y) + rem.x0;
-          float* dst = &fplanes[cc][y * stride + rem.x0];
-          for (std::size_t x = 0; x < rem.width; ++x) {
-            dst[x] = static_cast<float>(src[x]) - off;
-          }
-          c.s_float += rem.width * kPpeShiftOps;
-        }
-      } else {
-        for (std::size_t cc = 0; cc < ncomp; ++cc) {
-          const Sample* src = planes[cc].row(y) + rem.x0;
-          float* dst = &fplanes[cc][y * stride + rem.x0];
-          for (std::size_t x = 0; x < rem.width; ++x) {
-            dst[x] = static_cast<float>(src[x]) - off;
-          }
-          c.s_float += rem.width * kPpeShiftOps;
-        }
+        P::kPpeShiftIct(planes[0].row(y) + rem.x0, planes[1].row(y) + rem.x0,
+                        planes[2].row(y) + rem.x0, out[0].row(y) + rem.x0,
+                        out[1].row(y) + rem.x0, out[2].row(y) + rem.x0,
+                        rem.width, depth);
+        c.*P::kOps += rem.width * kPpeShiftIctOps;
+        cc = 3;
+      }
+      for (; cc < ncomp; ++cc) {
+        P::kPpeShift(planes[cc].row(y) + rem.x0, out[cc].row(y) + rem.x0,
+                     rem.width, depth);
+        c.*P::kOps += rem.width * kPpeShiftOps;
       }
     }
   };
 
-  return m.run_data_parallel("levelshift+ict", spe_work, ppe_work);
+  return m.run_data_parallel(P::kMctName, spe_work, ppe_work);
+}
+
+template cell::StageTiming stage_mct_lossy<FloatSamples>(
+    cell::Machine&, const std::vector<Plane>&,
+    const std::vector<Span2d<float>>&, bool, unsigned,
+    const backend::KernelBackend&);
+template cell::StageTiming stage_mct_lossy<FixedSamples>(
+    cell::Machine&, const std::vector<Plane>&,
+    const std::vector<Span2d<Sample>>&, bool, unsigned,
+    const backend::KernelBackend&);
+
+cell::StageTiming stage_mct_lossy(cell::Machine& m,
+                                  const std::vector<Plane>& planes,
+                                  std::vector<AlignedBuffer<float>>& fplanes,
+                                  std::size_t stride, bool color,
+                                  unsigned depth,
+                                  const backend::KernelBackend& bk) {
+  std::vector<Span2d<float>> out;
+  for (auto& f : fplanes) {
+    out.emplace_back(f.data(), planes[0].width(), planes[0].height(), stride);
+  }
+  return stage_mct_lossy<FloatSamples>(m, planes, out, color, depth, bk);
 }
 
 cell::StageTiming stage_mct_lossy_fixed(cell::Machine& m,
@@ -264,122 +269,9 @@ cell::StageTiming stage_mct_lossy_fixed(cell::Machine& m,
                                         std::vector<Plane>& fxplanes,
                                         bool color, unsigned depth,
                                         const backend::KernelBackend& bk) {
-  const std::size_t w = planes[0].width();
-  const std::size_t h = planes[0].height();
-  const std::size_t ncomp = planes.size();
-  const auto plan = decomp::plan_chunks(
-      w, sizeof(Sample), static_cast<std::size_t>(m.num_spes()));
-
-  auto spe_work = [&](int i, cell::SpeContext& ctx) {
-    if (static_cast<std::size_t>(i) >= plan.spe_chunks.size()) return;
-    const auto& ch = plan.spe_chunks[static_cast<std::size_t>(i)];
-    const std::size_t cw = ch.width;
-    // Ping/pong on tags 0/1 with distinct in/out buffers — unfenced tagged
-    // gets, as in the float lossy kernel.
-    if (color) {
-      Sample* lr[2] = {ctx.ls.alloc<Sample>(cw), ctx.ls.alloc<Sample>(cw)};
-      Sample* lg[2] = {ctx.ls.alloc<Sample>(cw), ctx.ls.alloc<Sample>(cw)};
-      Sample* lb[2] = {ctx.ls.alloc<Sample>(cw), ctx.ls.alloc<Sample>(cw)};
-      Sample* fy[2] = {ctx.ls.alloc<Sample>(cw), ctx.ls.alloc<Sample>(cw)};
-      Sample* fcb[2] = {ctx.ls.alloc<Sample>(cw), ctx.ls.alloc<Sample>(cw)};
-      Sample* fcr[2] = {ctx.ls.alloc<Sample>(cw), ctx.ls.alloc<Sample>(cw)};
-      Sample* lx = ncomp > 3 ? ctx.ls.alloc<Sample>(cw) : nullptr;
-      Sample* fx = ncomp > 3 ? ctx.ls.alloc<Sample>(cw) : nullptr;
-      dma_get_row_tagged(ctx.dma, lr[0], planes[0].row(0) + ch.x0, cw, 0);
-      dma_get_row_tagged(ctx.dma, lg[0], planes[1].row(0) + ch.x0, cw, 0);
-      dma_get_row_tagged(ctx.dma, lb[0], planes[2].row(0) + ch.x0, cw, 0);
-      for (std::size_t y = 0; y < h; ++y) {
-        const unsigned cur = static_cast<unsigned>(y & 1);
-        const unsigned nxt = cur ^ 1u;
-        if (y + 1 < h) {
-          dma_get_row_tagged(ctx.dma, lr[nxt], planes[0].row(y + 1) + ch.x0,
-                             cw, nxt);
-          dma_get_row_tagged(ctx.dma, lg[nxt], planes[1].row(y + 1) + ch.x0,
-                             cw, nxt);
-          dma_get_row_tagged(ctx.dma, lb[nxt], planes[2].row(y + 1) + ch.x0,
-                             cw, nxt);
-        }
-        ctx.dma.wait_tag(cur);
-        ctx.dma.touch(lr[cur], cw * sizeof(Sample));
-        ctx.dma.touch(lg[cur], cw * sizeof(Sample));
-        ctx.dma.touch(lb[cur], cw * sizeof(Sample));
-        ctx.dma.touch(fy[cur], cw * sizeof(Sample));
-        ctx.dma.touch(fcb[cur], cw * sizeof(Sample));
-        ctx.dma.touch(fcr[cur], cw * sizeof(Sample));
-        bk.shift_ict_fixed_row(ctx.simd, lr[cur], lg[cur], lb[cur],
-                                 fy[cur], fcb[cur], fcr[cur], cw, depth);
-        dma_put_row_tagged(ctx.dma, fy[cur], fxplanes[0].row(y) + ch.x0, cw,
-                           cur);
-        dma_put_row_tagged(ctx.dma, fcb[cur], fxplanes[1].row(y) + ch.x0,
-                           cw, cur);
-        dma_put_row_tagged(ctx.dma, fcr[cur], fxplanes[2].row(y) + ch.x0,
-                           cw, cur);
-        for (std::size_t c = 3; c < ncomp; ++c) {
-          dma_get_row_tagged(ctx.dma, lx, planes[c].row(y) + ch.x0, cw, 2);
-          ctx.dma.wait_tag(2);
-          ctx.dma.touch(lx, cw * sizeof(Sample));
-          ctx.dma.touch(fx, cw * sizeof(Sample));
-          bk.shift_to_fixed_row(ctx.simd, lx, fx, cw, depth);
-          dma_put_row_tagged(ctx.dma, fx, fxplanes[c].row(y) + ch.x0, cw, 2);
-        }
-      }
-    } else {
-      Sample* lr[2] = {ctx.ls.alloc<Sample>(cw), ctx.ls.alloc<Sample>(cw)};
-      Sample* fy[2] = {ctx.ls.alloc<Sample>(cw), ctx.ls.alloc<Sample>(cw)};
-      const std::size_t nitems = h * ncomp;
-      const auto src = [&](std::size_t k) {
-        return planes[k % ncomp].row(k / ncomp) + ch.x0;
-      };
-      const auto dst = [&](std::size_t k) {
-        return fxplanes[k % ncomp].row(k / ncomp) + ch.x0;
-      };
-      dma_get_row_tagged(ctx.dma, lr[0], src(0), cw, 0);
-      for (std::size_t k = 0; k < nitems; ++k) {
-        const unsigned cur = static_cast<unsigned>(k & 1);
-        const unsigned nxt = cur ^ 1u;
-        if (k + 1 < nitems) {
-          dma_get_row_tagged(ctx.dma, lr[nxt], src(k + 1), cw, nxt);
-        }
-        ctx.dma.wait_tag(cur);
-        ctx.dma.touch(lr[cur], cw * sizeof(Sample));
-        ctx.dma.touch(fy[cur], cw * sizeof(Sample));
-        bk.shift_to_fixed_row(ctx.simd, lr[cur], fy[cur], cw, depth);
-        dma_put_row_tagged(ctx.dma, fy[cur], dst(k), cw, cur);
-      }
-    }
-    ctx.dma.wait_all();
-    ctx.ls.reset();
-  };
-
-  auto ppe_work = [&](cell::OpCounters& c) {
-    const auto& rem = plan.remainder;
-    if (rem.width == 0) return;
-    for (std::size_t y = 0; y < h; ++y) {
-      if (color) {
-        jp2k::shift_ict_forward_row_fixed(
-            planes[0].row(y) + rem.x0, planes[1].row(y) + rem.x0,
-            planes[2].row(y) + rem.x0, fxplanes[0].row(y) + rem.x0,
-            fxplanes[1].row(y) + rem.x0, fxplanes[2].row(y) + rem.x0,
-            rem.width, depth);
-        c.s_int += rem.width * kPpeShiftIctOps;
-        for (std::size_t cc = 3; cc < ncomp; ++cc) {
-          jp2k::shift_to_fixed_row(planes[cc].row(y) + rem.x0,
-                                   fxplanes[cc].row(y) + rem.x0, rem.width,
-                                   depth);
-          c.s_int += rem.width * kPpeShiftOps;
-        }
-      } else {
-        for (std::size_t cc = 0; cc < ncomp; ++cc) {
-          jp2k::shift_to_fixed_row(planes[cc].row(y) + rem.x0,
-                                   fxplanes[cc].row(y) + rem.x0, rem.width,
-                                   depth);
-          c.s_int += rem.width * kPpeShiftOps;
-        }
-      }
-    }
-  };
-
-  return m.run_data_parallel("levelshift+ict(fx)", spe_work, ppe_work);
+  std::vector<Span2d<Sample>> out;
+  for (auto& p : fxplanes) out.push_back(p.view());
+  return stage_mct_lossy<FixedSamples>(m, planes, out, color, depth, bk);
 }
 
 }  // namespace cj2k::cellenc

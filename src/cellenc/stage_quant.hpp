@@ -13,8 +13,18 @@
 
 namespace cj2k::cellenc {
 
-/// Quantizes `fplane` (the transformed component) into `qplane`, using each
+/// Quantizes `in` (the transformed component, in the sample policy's
+/// coefficients — cellenc/sample_policy.hpp) into `qplane`, using each
 /// subband's `quant_step` (already set on the tile component's subbands).
+/// Instantiated for FloatSamples and FixedSamples.
+template <typename P>
+cell::StageTiming stage_quant(cell::Machine& m,
+                              Span2d<const typename P::T> in,
+                              Span2d<Sample> qplane,
+                              const jp2k::TileComponent& tc,
+                              const backend::KernelBackend& bk);
+
+/// Float variant: quantizes a float coefficient plane.
 cell::StageTiming stage_quant(
     cell::Machine& m, Span2d<const float> fplane, Span2d<Sample> qplane,
     const jp2k::TileComponent& tc,

@@ -15,13 +15,8 @@
 
 namespace cj2k::jp2k {
 
-namespace {
-
-void validate(const Image& img, const CodingParams& p) {
+void validate_params(const Image& img, const CodingParams& p) {
   CJ2K_CHECK_MSG(img.components() >= 1, "image has no components");
-  if (p.mct && img.components() >= 3) {
-    // RCT/ICT applies to the first three components.
-  }
   if (p.levels < 0 || p.levels > 32) {
     throw InvalidArgument("decomposition levels out of range");
   }
@@ -48,6 +43,8 @@ void validate(const Image& img, const CodingParams& p) {
     }
   }
 }
+
+namespace {
 
 /// Layered budgets over a tile set (the multi-tile form of
 /// plan_layer_budgets: the "everything" fallback sums every tile's coded
@@ -116,7 +113,7 @@ void t1_over_band(Subband& sb, Span2d<const Sample> coeff_plane,
 
 Tile build_tile(const Image& img, const CodingParams& params,
                 EncodeStats* stats) {
-  validate(img, params);
+  validate_params(img, params);
   Timer stage;
 
   const std::size_t w = img.width();
@@ -248,21 +245,13 @@ Tile build_tile(const Image& img, const CodingParams& params,
                               &fplanes[1][y * stride],
                               &fplanes[2][y * stride], w, depth);
         for (std::size_t c = 3; c < ncomp; ++c) {
-          const Sample* src = img.plane(c).row(y);
-          float* dst = &fplanes[c][y * stride];
-          const float off = static_cast<float>(Sample{1} << (depth - 1));
-          for (std::size_t x = 0; x < w; ++x) {
-            dst[x] = static_cast<float>(src[x]) - off;
-          }
+          shift_to_float_row(img.plane(c).row(y), &fplanes[c][y * stride], w,
+                             depth);
         }
       } else {
         for (std::size_t c = 0; c < ncomp; ++c) {
-          const Sample* src = img.plane(c).row(y);
-          float* dst = &fplanes[c][y * stride];
-          const float off = static_cast<float>(Sample{1} << (depth - 1));
-          for (std::size_t x = 0; x < w; ++x) {
-            dst[x] = static_cast<float>(src[x]) - off;
-          }
+          shift_to_float_row(img.plane(c).row(y), &fplanes[c][y * stride], w,
+                             depth);
         }
       }
     }
@@ -515,7 +504,7 @@ std::vector<std::uint8_t> finish_tiles(std::vector<Tile>& tiles,
 std::vector<std::uint8_t> encode(const Image& img, const CodingParams& params,
                                  EncodeStats* stats) {
   Timer total;
-  validate(img, params);
+  validate_params(img, params);
   const TileGrid grid =
       TileGrid::plan(img.width(), img.height(), params.tiles_x, params.tiles_y);
   std::vector<std::uint8_t> bytes;

@@ -28,6 +28,12 @@ struct EncodeStats {
   RateControlStats rate;
 };
 
+/// Checks the coding parameters against what the encoders support (level,
+/// code-block, layer and tile-grid ranges; HT's single layer).  Throws
+/// InvalidArgument on an unsupported combination.  Both the serial encoder
+/// and the Cell pipeline call it before any work.
+void validate_params(const Image& img, const CodingParams& params);
+
 /// Encodes an image into a codestream.  Throws InvalidArgument on
 /// unsupported parameter combinations.
 std::vector<std::uint8_t> encode(const Image& img, const CodingParams& params,

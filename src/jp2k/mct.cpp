@@ -139,6 +139,12 @@ void shift_to_fixed_row(const Sample* x, Sample* out, std::size_t n,
   for (std::size_t i = 0; i < n; ++i) out[i] = (x[i] - off) << kQ;
 }
 
+void shift_to_float_row(const Sample* x, float* out, std::size_t n,
+                        unsigned depth) {
+  const float off = static_cast<float>(Sample{1} << (depth - 1));
+  for (std::size_t i = 0; i < n; ++i) out[i] = static_cast<float>(x[i]) - off;
+}
+
 void fixed_to_int_row(const Sample* in, Sample* out, std::size_t n) {
   const Sample half = Sample{1} << (kQ - 1);
   for (std::size_t i = 0; i < n; ++i) out[i] = (in[i] + half) >> kQ;

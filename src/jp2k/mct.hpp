@@ -72,6 +72,10 @@ void ict_inverse_row_fixed(const Sample* y, const Sample* cb,
 void shift_to_fixed_row(const Sample* x, Sample* out, std::size_t n,
                         unsigned depth);
 
+/// Level shift to float (non-color float path): out = x - 2^(depth-1).
+void shift_to_float_row(const Sample* x, float* out, std::size_t n,
+                        unsigned depth);
+
 /// Q13 -> integer sample with rounding.
 void fixed_to_int_row(const Sample* in, Sample* out, std::size_t n);
 

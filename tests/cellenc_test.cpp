@@ -6,6 +6,7 @@
 #include "cellenc/muta_model.hpp"
 #include "cellenc/p4_model.hpp"
 #include "cellenc/pipeline.hpp"
+#include "common/error.hpp"
 #include "image/metrics.hpp"
 #include "image/synth.hpp"
 #include "jp2k/decoder.hpp"
@@ -33,6 +34,21 @@ TEST(Pipeline, LosslessMatchesSerialEncoderBitExactly) {
     CellEncoder enc(config(spes));
     const auto res = enc.encode(img, p);
     EXPECT_EQ(res.codestream, serial) << spes << " SPEs";
+  }
+}
+
+TEST(Pipeline, RejectsTheParamsTheSerialEncoderRejects) {
+  const Image img = synth::photographic(64, 48, 3, 58);
+  std::vector<jp2k::CodingParams> rejected(4);
+  rejected[0].layers = 0;
+  rejected[1].cb_width = 2;
+  rejected[2].cb_width = 2048;
+  rejected[3].block_coder = jp2k::BlockCoder::kHt;
+  rejected[3].layers = 2;
+  CellEncoder enc(config(8));
+  for (std::size_t i = 0; i < rejected.size(); ++i) {
+    EXPECT_THROW(jp2k::encode(img, rejected[i]), InvalidArgument) << i;
+    EXPECT_THROW(enc.encode(img, rejected[i]), InvalidArgument) << i;
   }
 }
 

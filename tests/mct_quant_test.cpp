@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
+#include "backend/kernel_backend.hpp"
 #include "common/rng.hpp"
 #include "jp2k/mct.hpp"
 #include "jp2k/quant.hpp"
@@ -102,6 +104,28 @@ TEST(Ict, GreyMapsToZeroChroma) {
   EXPECT_NEAR(y[0], 50.0f, 1e-3f);
   EXPECT_NEAR(cb[0], 0.0f, 1e-3f);
   EXPECT_NEAR(cr[0], 0.0f, 1e-3f);
+}
+
+TEST(LevelShift, ShiftToFloatMatchesBothBackendsBitForBit) {
+  Rng rng(17);
+  for (const unsigned depth : {1u, 8u, 12u, 16u}) {
+    for (const std::size_t n : {1u, 3u, 4u, 37u, 256u}) {
+      std::vector<Sample> x(n);
+      for (auto& v : x) v = static_cast<Sample>(rng.next_below(1u << depth));
+      std::vector<float> want(n);
+      shift_to_float_row(x.data(), want.data(), n, depth);
+      for (const auto kind :
+           {backend::BackendKind::kCellModel, backend::BackendKind::kNative}) {
+        cell::OpCounters counters;
+        cell::Simd simd{counters};
+        std::vector<float> got(n);
+        backend::get(kind).shift_to_float_row(simd, x.data(), got.data(), n,
+                                              depth);
+        EXPECT_EQ(std::memcmp(got.data(), want.data(), n * sizeof(float)), 0)
+            << backend::to_string(kind) << " depth " << depth << " n " << n;
+      }
+    }
+  }
 }
 
 TEST(LevelShift, UnshiftClampsToRange) {

@@ -467,6 +467,47 @@ TEST(EncodeServiceTest, FailingJobDoesNotAbortBatch) {
                    static_cast<double>(n - 1));
 }
 
+TEST(EncodeServiceTest, RejectedParamsFailOnlyTheirJobs) {
+  // Parameters the encoder does not support fail their own job during
+  // validation, before any tile is planned; the batch around them runs.
+  const cell::MachineConfig pool_cfg = config(16, 2, 2);
+  const auto img =
+      std::make_shared<const Image>(synth::photographic(96, 64, 3, 49));
+  std::vector<jp2k::CodingParams> rejected(4);
+  rejected[0].layers = 0;
+  rejected[1].cb_width = 2;
+  rejected[2].cb_width = 2048;
+  rejected[3].block_coder = jp2k::BlockCoder::kHt;
+  rejected[3].layers = 2;
+
+  ServiceOptions sopt;
+  sopt.machine = pool_cfg;
+  EncodeService svc(sopt);
+  const std::size_t n = 2 * rejected.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    EncodeJob job;
+    job.image = img;
+    if (i % 2 == 1) job.params = rejected[i / 2];
+    job.arrival_seconds = 0.001 * static_cast<double>(i);
+    svc.submit(std::move(job));
+  }
+  const ServiceResult res = svc.run();
+
+  ASSERT_EQ(res.jobs.size(), n);
+  for (const auto& jr : res.jobs) {
+    if (jr.id % 2 == 1) {
+      EXPECT_EQ(jr.status, JobStatus::kFailed) << jr.id;
+      EXPECT_FALSE(jr.error.empty()) << jr.id;
+      EXPECT_TRUE(jr.pipeline.codestream.empty()) << jr.id;
+    } else {
+      EXPECT_EQ(jr.status, JobStatus::kOk) << jr.id << ": " << jr.error;
+      EXPECT_FALSE(jr.pipeline.codestream.empty()) << jr.id;
+    }
+  }
+  EXPECT_DOUBLE_EQ(res.metrics.get("service.failed_jobs"),
+                   static_cast<double>(rejected.size()));
+}
+
 TEST(EncodeServiceTest, TraceRecordsTheServiceSchedule) {
   ServiceOptions sopt;
   sopt.machine = config(16, 2, 2);
