@@ -318,6 +318,7 @@ PipelineResult CellEncoder::encode(const Image& img,
   }
 
   PipelineResult res;
+  res.spes_per_group = machine_.num_spes();  // One tile on the full pool.
   const auto& cp = machine_.model().params();
 
   ScopedAudit audit(machine_, opt.audit);

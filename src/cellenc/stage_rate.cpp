@@ -127,26 +127,24 @@ LossyTailResult stage_rate_tail_tiles(cell::Machine& m,
                                                hulls.stats, sizer);
 
   // --- Final Tier-2 assembly.  With a rate target the last sizing pass
-  // already coded the final selection, so its precinct streams are reused
-  // (a pure layer ladder must recode, because force_lossless_final_layer
-  // mutates the selection after allocation); the recode stitches through
-  // the streaming consumer while workers are still coding.
+  // already coded the final selection, so its precinct streams are reused;
+  // a pure layer ladder must recode, because force_lossless_final_layer
+  // mutates the selection after allocation.  Either way each tile's
+  // packets are stitched once, in progression order.
   const bool reuse_parts = params.rate > 0.0 && !last_parts.empty();
   std::vector<std::vector<jp2k::T2PrecinctStream>> parts;
-  std::vector<std::vector<std::uint8_t>> packets;
-  parts.reserve(tiles.size());
-  packets.reserve(tiles.size());
   if (reuse_parts) {
     parts = std::move(last_parts);
-    for (std::size_t t = 0; t < tiles.size(); ++t) {
-      packets.push_back(jp2k::t2_stitch(*tiles[t], parts[t]));
-    }
   } else {
+    parts.reserve(tiles.size());
     for (jp2k::Tile* tp : tiles) {
-      std::vector<jp2k::T2PrecinctStream> tile_parts;
-      packets.push_back(jp2k::t2_encode_streamed(*tp, &tile_parts));
-      parts.push_back(std::move(tile_parts));
+      parts.push_back(jp2k::t2_encode_precincts(*tp, /*parallel=*/true));
     }
+  }
+  std::vector<std::vector<std::uint8_t>> packets;
+  packets.reserve(tiles.size());
+  for (std::size_t t = 0; t < tiles.size(); ++t) {
+    packets.push_back(jp2k::t2_stitch(*tiles[t], parts[t]));
   }
   const std::vector<const jp2k::Tile*> cptrs(tiles.begin(), tiles.end());
   res.codestream =
@@ -214,7 +212,7 @@ LossyTailResult stage_rate_tail_tiles(cell::Machine& m,
       release[p] = reset_sec + static_cast<double>(gate) * seg_sec;
     }
     const auto sched =
-        decomp::schedule_virtual_released(bytes, t2_speed, release);
+        decomp::schedule_virtual(bytes, t2_speed, {}, {}, release);
     const double span = std::max(scan_finish, sched.makespan);
     span_overlap += span;
     for (double wt : sched.worker_time) sizing_busy_sum += wt;
@@ -269,10 +267,12 @@ LossyTailResult stage_rate_tail_tiles(cell::Machine& m,
     trc->advance_clock(res.rate_timing.seconds);
   }
 
-  // --- Final-assembly model.  Coding finish times per precinct stream feed
-  // the ordered hand-off replay of the streaming stitch: the serial
-  // consumer appends packets in emission order (tile index × progression ×
-  // component), stalling only when the next packet's stream is unfinished.
+  // --- Final-assembly model.  The simulated PPE stitches as a streaming
+  // consumer (the host stitched once, above; the bytes are the same):
+  // coding finish times per precinct stream feed the ordered hand-off
+  // replay, where the consumer appends packets in emission order (tile
+  // index × progression × component), stalling only when the next
+  // packet's stream is unfinished.
   std::vector<double> final_part_bytes;
   final_part_bytes.reserve(part_count);
   std::uint64_t packet_bytes = 0;

@@ -22,10 +22,12 @@
 //     refinement iteration's precinct sizing jobs are released the moment
 //     the scan prefix covering a precinct's blocks is decided — sizing
 //     overlaps the scan instead of waiting for it;
-//   * the final Tier-2 stitch is a streaming consumer (jp2k::T2StitchStream
-//     fed through a CompletionChannel): the PPE concatenates finished
-//     precinct packets in progression order while the pool still codes
-//     later precincts;
+//   * the final Tier-2 stitch is modelled as a streaming consumer
+//     (decomp::schedule_ordered_handoff over the coding finish times): the
+//     simulated PPE concatenates finished precinct packets in progression
+//     order while the pool still codes later precincts.  On the host the
+//     precincts are coded as executor tasks and jp2k::t2_stitch runs once
+//     they are done — the same bytes;
 //   * when a rate target drove the allocation, the last sizing pass already
 //     coded the final selection, so its precinct streams are reused verbatim.
 // Each stage also reports what that pipelining hid (StageTiming::

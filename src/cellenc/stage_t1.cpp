@@ -164,10 +164,8 @@ T1StageResult stage_t1(cell::Machine& m, jp2k::Tile& tile,
   if (hulls) {
     auto fused =
         dist == T1Distribution::kWorkQueue
-            ? decomp::schedule_virtual_fused(cost, speed, hull_cost,
-                                             hull_speed)
-            : decomp::schedule_static_fused(cost, speed, hull_cost,
-                                            hull_speed);
+            ? decomp::schedule_virtual(cost, speed, hull_cost, hull_speed)
+            : decomp::schedule_static(cost, speed, hull_cost, hull_speed);
     res.hull_extra_seconds = fused.makespan - chosen_makespan;
     res.hull_serial_seconds = static_cast<double>(total_passes) *
                               cp.ppe_rate_hull_cycles_per_pass / cp.clock_hz;

@@ -7,62 +7,74 @@
 namespace cj2k::decomp {
 
 namespace {
+
 double finish(const Schedule& s) {
   double m = 0;
   for (double t : s.worker_time) m = std::max(m, t);
   return m;
 }
-}  // namespace
 
-Schedule schedule_virtual(const std::vector<double>& item_cost,
-                          const std::vector<double>& worker_speed_factor) {
+/// Validates the worker list and the optional fused tail (both tail
+/// vectors empty, or one cost per item and one speed per worker); true
+/// when there is a tail.
+bool check_tail(const std::vector<double>& item_cost,
+                const std::vector<double>& worker_speed_factor,
+                const std::vector<double>& tail_cost,
+                const std::vector<double>& tail_speed_factor) {
   CJ2K_CHECK_MSG(!worker_speed_factor.empty(), "need at least one worker");
+  if (tail_cost.empty() && tail_speed_factor.empty()) return false;
+  CJ2K_CHECK_MSG(tail_cost.size() == item_cost.size(),
+                 "one tail cost per item");
+  CJ2K_CHECK_MSG(tail_speed_factor.size() == worker_speed_factor.size(),
+                 "one tail speed per worker");
+  return true;
+}
+
+Schedule empty_schedule(std::size_t items, std::size_t workers) {
   Schedule s;
-  s.assignment.resize(item_cost.size());
-  s.item_finish.resize(item_cost.size());
-  s.worker_time.assign(worker_speed_factor.size(), 0.0);
-  for (std::size_t i = 0; i < item_cost.size(); ++i) {
-    // Earliest-free worker takes the next queue item.
-    std::size_t best = 0;
-    for (std::size_t w = 1; w < s.worker_time.size(); ++w) {
-      if (s.worker_time[w] < s.worker_time[best]) best = w;
-    }
-    s.worker_time[best] += item_cost[i] * worker_speed_factor[best];
-    s.assignment[i] = static_cast<int>(best);
-    s.item_finish[i] = s.worker_time[best];
-  }
-  s.makespan = finish(s);
+  s.assignment.resize(items);
+  s.item_finish.resize(items);
+  s.worker_time.assign(workers, 0.0);
   return s;
 }
 
-Schedule schedule_virtual_released(
-    const std::vector<double>& item_cost,
-    const std::vector<double>& worker_speed_factor,
-    const std::vector<double>& release_time) {
-  CJ2K_CHECK_MSG(!worker_speed_factor.empty(), "need at least one worker");
-  CJ2K_CHECK_MSG(release_time.size() == item_cost.size(),
-                 "one release time per item");
-  Schedule s;
-  s.assignment.resize(item_cost.size());
-  s.item_finish.resize(item_cost.size());
-  s.worker_time.assign(worker_speed_factor.size(), 0.0);
+}  // namespace
 
-  // Admission order: release time, index as the tiebreak (a FIFO fed as
-  // items become ready).
+Schedule schedule_virtual(const std::vector<double>& item_cost,
+                          const std::vector<double>& worker_speed_factor,
+                          const std::vector<double>& tail_cost,
+                          const std::vector<double>& tail_speed_factor,
+                          const std::vector<double>& release_time) {
+  const bool tails =
+      check_tail(item_cost, worker_speed_factor, tail_cost, tail_speed_factor);
+  const bool released = !release_time.empty();
+  CJ2K_CHECK_MSG(!released || release_time.size() == item_cost.size(),
+                 "one release time per item");
+  Schedule s = empty_schedule(item_cost.size(), worker_speed_factor.size());
+
+  // Admission order: index order, or release time with index as the
+  // tiebreak (a FIFO fed as items become ready).
   std::vector<std::size_t> order(item_cost.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return release_time[a] < release_time[b];
-                   });
+  if (released) {
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return release_time[a] < release_time[b];
+                     });
+  }
 
   for (const std::size_t i : order) {
     // The worker that can *start* the item earliest (a free worker still
-    // waits for the release).
+    // waits for the release).  Without releases, equal starts mean equal
+    // worker times, so this is the plain earliest-free rule.
+    const auto start_on = [&](std::size_t w) {
+      return released ? std::max(s.worker_time[w], release_time[i])
+                      : s.worker_time[w];
+    };
     std::size_t best = 0;
-    double best_start = std::max(s.worker_time[0], release_time[i]);
+    double best_start = start_on(0);
     for (std::size_t w = 1; w < s.worker_time.size(); ++w) {
-      const double start = std::max(s.worker_time[w], release_time[i]);
+      const double start = start_on(w);
       if (start < best_start ||
           (start == best_start && s.worker_time[w] < s.worker_time[best])) {
         best = w;
@@ -70,7 +82,8 @@ Schedule schedule_virtual_released(
       }
     }
     s.worker_time[best] =
-        best_start + item_cost[i] * worker_speed_factor[best];
+        best_start + (item_cost[i] * worker_speed_factor[best] +
+                      (tails ? tail_cost[i] * tail_speed_factor[best] : 0.0));
     s.assignment[i] = static_cast<int>(best);
     s.item_finish[i] = s.worker_time[best];
   }
@@ -98,66 +111,16 @@ HandoffSchedule schedule_ordered_handoff(const std::vector<double>& ready,
 }
 
 Schedule schedule_static(const std::vector<double>& item_cost,
-                         const std::vector<double>& worker_speed_factor) {
-  CJ2K_CHECK_MSG(!worker_speed_factor.empty(), "need at least one worker");
-  Schedule s;
-  s.assignment.resize(item_cost.size());
-  s.item_finish.resize(item_cost.size());
-  s.worker_time.assign(worker_speed_factor.size(), 0.0);
-  for (std::size_t i = 0; i < item_cost.size(); ++i) {
-    const std::size_t w = i % s.worker_time.size();
-    s.worker_time[w] += item_cost[i] * worker_speed_factor[w];
-    s.assignment[i] = static_cast<int>(w);
-    s.item_finish[i] = s.worker_time[w];
-  }
-  s.makespan = finish(s);
-  return s;
-}
-
-Schedule schedule_virtual_fused(const std::vector<double>& item_cost,
-                                const std::vector<double>& worker_speed_factor,
-                                const std::vector<double>& tail_cost,
-                                const std::vector<double>& tail_speed_factor) {
-  CJ2K_CHECK_MSG(!worker_speed_factor.empty(), "need at least one worker");
-  CJ2K_CHECK_MSG(tail_cost.size() == item_cost.size(),
-                 "one tail cost per item");
-  CJ2K_CHECK_MSG(tail_speed_factor.size() == worker_speed_factor.size(),
-                 "one tail speed per worker");
-  Schedule s;
-  s.assignment.resize(item_cost.size());
-  s.item_finish.resize(item_cost.size());
-  s.worker_time.assign(worker_speed_factor.size(), 0.0);
-  for (std::size_t i = 0; i < item_cost.size(); ++i) {
-    std::size_t best = 0;
-    for (std::size_t w = 1; w < s.worker_time.size(); ++w) {
-      if (s.worker_time[w] < s.worker_time[best]) best = w;
-    }
-    s.worker_time[best] += item_cost[i] * worker_speed_factor[best] +
-                           tail_cost[i] * tail_speed_factor[best];
-    s.assignment[i] = static_cast<int>(best);
-    s.item_finish[i] = s.worker_time[best];
-  }
-  s.makespan = finish(s);
-  return s;
-}
-
-Schedule schedule_static_fused(const std::vector<double>& item_cost,
-                               const std::vector<double>& worker_speed_factor,
-                               const std::vector<double>& tail_cost,
-                               const std::vector<double>& tail_speed_factor) {
-  CJ2K_CHECK_MSG(!worker_speed_factor.empty(), "need at least one worker");
-  CJ2K_CHECK_MSG(tail_cost.size() == item_cost.size(),
-                 "one tail cost per item");
-  CJ2K_CHECK_MSG(tail_speed_factor.size() == worker_speed_factor.size(),
-                 "one tail speed per worker");
-  Schedule s;
-  s.assignment.resize(item_cost.size());
-  s.item_finish.resize(item_cost.size());
-  s.worker_time.assign(worker_speed_factor.size(), 0.0);
+                         const std::vector<double>& worker_speed_factor,
+                         const std::vector<double>& tail_cost,
+                         const std::vector<double>& tail_speed_factor) {
+  const bool tails =
+      check_tail(item_cost, worker_speed_factor, tail_cost, tail_speed_factor);
+  Schedule s = empty_schedule(item_cost.size(), worker_speed_factor.size());
   for (std::size_t i = 0; i < item_cost.size(); ++i) {
     const std::size_t w = i % s.worker_time.size();
     s.worker_time[w] += item_cost[i] * worker_speed_factor[w] +
-                        tail_cost[i] * tail_speed_factor[w];
+                        (tails ? tail_cost[i] * tail_speed_factor[w] : 0.0);
     s.assignment[i] = static_cast<int>(w);
     s.item_finish[i] = s.worker_time[w];
   }

@@ -3,8 +3,8 @@
 // work queue keeps every processing element busy.
 //
 // Two faces:
-//  * WorkQueue — a real thread-safe queue the host threads pull from while
-//    doing the actual encoding work;
+//  * WorkQueue — a lock-free index dispenser the host executor's tasks pull
+//    from while doing the actual work (Tier-1 blocks, encode-service jobs);
 //  * schedule_virtual — a deterministic virtual-time replay that assigns
 //    each item (with a known simulated cost) to the worker that frees up
 //    first, which is exactly what a work queue achieves on hardware.  The
@@ -14,7 +14,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 namespace cj2k::decomp {
@@ -39,38 +38,6 @@ class WorkQueue {
   std::size_t size_;
 };
 
-/// Multi-producer single-consumer completion channel: the ordered hand-off
-/// between a worker pool and a serial consumer (the PPE stitching Tier-2
-/// packets while SPEs are still coding later precinct streams).  A
-/// mutex-guarded FIFO: workers push finished item indices, and the consumer
-/// polls them in completion order, helping with the remaining work whenever
-/// nothing is waiting.
-class CompletionChannel {
- public:
-  /// Reserves room for the `expected` items that will be pushed.
-  explicit CompletionChannel(std::size_t expected) { fifo_.reserve(expected); }
-
-  /// Announces item `index` as finished (any thread).
-  void push(std::size_t index) {
-    std::lock_guard<std::mutex> lock(mu_);
-    fifo_.push_back(index);
-  }
-
-  /// Pops the next finished item in completion order; false when no
-  /// finished item is waiting.
-  bool try_pop(std::size_t& index) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (head_ == fifo_.size()) return false;
-    index = fifo_[head_++];
-    return true;
-  }
-
- private:
-  std::mutex mu_;
-  std::vector<std::size_t> fifo_;  ///< Completion order; head_ is the cursor.
-  std::size_t head_ = 0;
-};
-
 /// Result of a virtual-time schedule.
 struct Schedule {
   std::vector<int> assignment;        ///< Worker index per item.
@@ -79,49 +46,36 @@ struct Schedule {
   double makespan = 0;                ///< max(worker_time).
 };
 
-/// Greedy earliest-free-worker assignment: item i (cost item_cost[i] on
-/// worker w = item_cost[i] * worker_speed_factor[w]) goes to the worker
-/// with the smallest current virtual time.  Items are taken in order, which
-/// mirrors a FIFO work queue.
+/// Greedy earliest-free-worker assignment, the virtual-time face of a FIFO
+/// work queue: each item goes to the worker that can start it earliest
+/// (among equal starts the smallest worker_time, then the lowest index).
+/// Worker w spends
+///   item_cost[i]*worker_speed_factor[w] + tail_cost[i]*tail_speed_factor[w]
+/// on item i, starting at its start time.  Two optional parts, each left
+/// empty when unused:
+///  * a per-item *tail* (`tail_cost`, `tail_speed_factor`, one speed per
+///    worker) fused onto the same worker right after the main job — the
+///    R-D hull build that follows a block's Tier-1 coding, branchy scalar
+///    code with its own per-worker speed;
+///  * a per-item `release_time` before which the item cannot start — the
+///    overlapped λ scan releasing each precinct's sizing job once the
+///    greedy prefix covering its blocks is decided.  Items are then
+///    admitted in release order (index breaks ties, a FIFO fed as items
+///    become ready), and a free worker still waits for the release.
+/// Without releases, items are taken in index order.
 Schedule schedule_virtual(const std::vector<double>& item_cost,
-                          const std::vector<double>& worker_speed_factor);
+                          const std::vector<double>& worker_speed_factor,
+                          const std::vector<double>& tail_cost = {},
+                          const std::vector<double>& tail_speed_factor = {},
+                          const std::vector<double>& release_time = {});
 
 /// Static round-robin assignment (the ablation baseline: "merely
-/// distributing an identical number of code blocks").
+/// distributing an identical number of code blocks"), with the same
+/// optional fused tail as schedule_virtual.
 Schedule schedule_static(const std::vector<double>& item_cost,
-                         const std::vector<double>& worker_speed_factor);
-
-/// Earliest-free-worker assignment where every item carries a fused *tail*
-/// job executed on the same worker immediately after the main job (e.g.
-/// the R-D hull build that follows a block's Tier-1 coding).  The tail may
-/// run at a different per-worker speed — branchy scalar code vs the main
-/// kernel — so it has its own speed vector.  Worker w spends
-///   item_cost[i]*worker_speed_factor[w] + tail_cost[i]*tail_speed_factor[w]
-/// on item i.  Comparing this makespan against schedule_virtual's shows
-/// how much of the tail work the queue absorbs into the main span.
-Schedule schedule_virtual_fused(const std::vector<double>& item_cost,
-                                const std::vector<double>& worker_speed_factor,
-                                const std::vector<double>& tail_cost,
-                                const std::vector<double>& tail_speed_factor);
-
-/// Round-robin variant of schedule_virtual_fused (ablation baseline).
-Schedule schedule_static_fused(const std::vector<double>& item_cost,
-                               const std::vector<double>& worker_speed_factor,
-                               const std::vector<double>& tail_cost,
-                               const std::vector<double>& tail_speed_factor);
-
-/// Earliest-free-worker assignment where item i only becomes runnable at
-/// `release_time[i]` — the shape of the overlapped λ scan, which releases
-/// each precinct's sizing job the moment the greedy prefix covering its
-/// blocks is decided.  Items are admitted in release order (index breaks
-/// ties, mirroring a FIFO fed as items become ready); each goes to the
-/// worker that can start it earliest (smallest max(free, release), lowest
-/// index breaks ties).  With all releases zero this equals
-/// schedule_virtual.
-Schedule schedule_virtual_released(
-    const std::vector<double>& item_cost,
-    const std::vector<double>& worker_speed_factor,
-    const std::vector<double>& release_time);
+                         const std::vector<double>& worker_speed_factor,
+                         const std::vector<double>& tail_cost = {},
+                         const std::vector<double>& tail_speed_factor = {});
 
 /// Result of an ordered-completion hand-off replay.
 struct HandoffSchedule {

@@ -7,7 +7,7 @@
 
 #include "common/error.hpp"
 #include "common/executor.hpp"
-#include "service/job_queue.hpp"
+#include "decomp/work_queue.hpp"
 
 namespace cj2k::service {
 
@@ -101,24 +101,22 @@ ServiceResult EncodeService::run() {
   const std::size_t n = jobs_.size();
 
   // --- Real encodes, genuinely concurrent: `workers` executor tasks (the
-  // job concurrency) each lease one group and encode whole jobs at lease
-  // width, tagged with job provenance so a strict-audit violation names the
-  // job.  Per-job tracing is disabled (the service owns the trace);
-  // everything else in the job's PipelineOptions applies as submitted.
+  // job concurrency, at most one encode per pool group) pull job ids from
+  // a shared queue and encode whole jobs on a one-group machine, tagged
+  // with job provenance so a strict-audit violation names the job.
+  // Per-job tracing is disabled (the service owns the trace); everything
+  // else in the job's PipelineOptions applies as submitted.
   std::vector<cellenc::PipelineResult> plans(n);
   std::vector<std::string> errors(n);
   std::vector<char> failed(n, 0);
-  JobQueue queue;
-  for (std::size_t id = 0; id < n; ++id) queue.push(id);
-  queue.close();
-
-  std::size_t workers =
-      opt_.host_threads != 0 ? opt_.host_threads : pool.num_groups();
-  workers = std::max<std::size_t>(1, std::min(workers, n));
+  decomp::WorkQueue queue(n);
+  const std::size_t groups = pool.num_groups();
+  const std::size_t workers = std::min(
+      {opt_.host_threads != 0 ? opt_.host_threads : groups, groups, n});
+  const cell::MachineConfig lease = pool.lease_config(1);
 
   Executor::host().run(workers, [&](std::size_t) {
-    SpePoolLease lease(pool, 1);
-    cellenc::CellEncoder enc(lease.machine_config());
+    cellenc::CellEncoder enc(lease);
     std::size_t id = 0;
     while (queue.pop(id)) {
       const EncodeJob& job = jobs_[id];

@@ -2,11 +2,13 @@
 // one simulated Cell pool.
 //
 // Execution follows the repo's machine-model split.  The *bytes* come from
-// real encodes running genuinely concurrently on host threads — each worker
-// holds a one-group SpePoolLease and runs the full cellenc pipeline on a
-// lease-width machine, so job codestreams are byte-identical to standalone
-// encodes (the codestream is machine-width-independent) and the host
-// concurrency is real enough for TSan to bite.  The *clock* comes from
+// real encodes running genuinely concurrently as tasks on the host
+// executor — at most one encode per pool group, each task pulling job ids
+// from a decomp::WorkQueue and running the full cellenc pipeline on a
+// one-group machine (SpePool::lease_config(1)), so job codestreams are
+// byte-identical to standalone encodes (the codestream is
+// machine-width-independent) and the host concurrency is real enough for
+// TSan to bite.  The *clock* comes from
 // schedule_service: a deterministic virtual-time replay of the admission /
 // lease / steal protocol over each job's {pool, serial} items
 // (PipelineResult::tile_items at group width), which yields per-job
@@ -42,8 +44,9 @@ struct ServiceOptions {
   StealMode steal = StealMode::kAuto;
   /// Lease-group width in SPEs (the >=8 unit of decomp::plan_tile_groups).
   int group_spes = 8;
-  /// Jobs encoded concurrently (each an executor task holding one lease);
-  /// 0 means one per pool group.
+  /// Jobs encoded concurrently (each an executor task encoding on a
+  /// one-group machine); 0 means one per pool group.  Capped at the pool's
+  /// group count: at most one encode runs per group.
   std::size_t host_threads = 0;
   /// Record the service-level schedule trace (jobs interleaving on the
   /// pool's SPE/PPE tracks) into ServiceResult::trace.
@@ -106,7 +109,7 @@ class EncodeService {
   std::size_t num_jobs() const { return jobs_.size(); }
   bool stealing_enabled() const;
 
-  /// Encodes every submitted job (concurrently, on one-group leases) and
+  /// Encodes every submitted job (concurrently, on one-group machines) and
   /// replays the service schedule of the jobs that succeeded.  A job whose
   /// encode throws (an invalid job, a strict-audit AuditError) is recorded
   /// as failed with the exception's message; the other jobs still run.

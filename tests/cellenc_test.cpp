@@ -34,6 +34,8 @@ TEST(Pipeline, LosslessMatchesSerialEncoderBitExactly) {
     CellEncoder enc(config(spes));
     const auto res = enc.encode(img, p);
     EXPECT_EQ(res.codestream, serial) << spes << " SPEs";
+    // A single tile runs on the full pool.
+    EXPECT_EQ(res.spes_per_group, spes);
   }
 }
 

@@ -193,11 +193,28 @@ TEST(Schedule, ReleasedWithZeroReleasesEqualsPlainVirtual) {
   std::vector<double> cost{5, 1, 4, 2, 3, 6, 1};
   std::vector<double> speed{1.0, 1.5, 0.7};
   const auto plain = schedule_virtual(cost, speed);
-  const auto released = schedule_virtual_released(
-      cost, speed, std::vector<double>(cost.size(), 0.0));
-  EXPECT_DOUBLE_EQ(released.makespan, plain.makespan);
-  EXPECT_EQ(released.assignment, plain.assignment);
-  EXPECT_EQ(released.item_finish, plain.item_finish);
+  const std::vector<double> zeros(cost.size(), 0.0);
+  const auto padded = schedule_virtual(cost, speed, zeros,
+                                       std::vector<double>(speed.size(), 2.0),
+                                       zeros);
+  // Bit-identical, not merely close.
+  EXPECT_EQ(padded.assignment, plain.assignment);
+  EXPECT_EQ(padded.item_finish, plain.item_finish);
+  EXPECT_EQ(padded.worker_time, plain.worker_time);
+  EXPECT_EQ(padded.makespan, plain.makespan);
+}
+
+TEST(Schedule, FusedTailRunsOnTheSameWorker) {
+  // Item 0 takes worker 0 for 2 + 3*2 = 8; item 1 goes to idle worker 1;
+  // item 2 to worker 1 (free at 1 + 1*2 = 3), finishing at 3 + 1 = 4.
+  const auto s =
+      schedule_virtual({2, 1, 1}, {1.0, 1.0}, {3, 1, 0}, {2.0, 2.0});
+  EXPECT_EQ(s.assignment, (std::vector<int>{0, 1, 1}));
+  EXPECT_EQ(s.item_finish, (std::vector<double>{8, 3, 4}));
+  EXPECT_DOUBLE_EQ(s.makespan, 8.0);
+  const auto rr =
+      schedule_static({2, 1, 1}, {1.0, 1.0}, {3, 1, 0}, {2.0, 2.0});
+  EXPECT_EQ(rr.item_finish, (std::vector<double>{8, 3, 9}));
 }
 
 TEST(Schedule, ReleasedHandCase) {
@@ -205,7 +222,7 @@ TEST(Schedule, ReleasedHandCase) {
   // Item 0 -> worker 0, finishes at 4.  Item 2 starts at its release (1) on
   // worker 1, finishes at 4.  Item 1 waits for its release: both workers
   // free at 4 but the item is only ready at 5; finishes at 7.
-  const auto s = schedule_virtual_released({4, 2, 3}, {1.0, 1.0}, {0, 5, 1});
+  const auto s = schedule_virtual({4, 2, 3}, {1.0, 1.0}, {}, {}, {0, 5, 1});
   EXPECT_EQ(s.item_finish, (std::vector<double>{4, 7, 4}));
   EXPECT_DOUBLE_EQ(s.makespan, 7.0);
   EXPECT_NE(s.assignment[0], s.assignment[2]);
@@ -213,7 +230,7 @@ TEST(Schedule, ReleasedHandCase) {
 
 TEST(Schedule, ReleasedLateItemsStallEvenIdleWorkers) {
   // Every worker idles until the single release point.
-  const auto s = schedule_virtual_released({1, 1}, {1.0, 1.0, 1.0}, {10, 10});
+  const auto s = schedule_virtual({1, 1}, {1.0, 1.0, 1.0}, {}, {}, {10, 10});
   EXPECT_DOUBLE_EQ(s.makespan, 11.0);
   EXPECT_EQ(s.item_finish, (std::vector<double>{11, 11}));
 }
@@ -264,53 +281,6 @@ TEST(Pipeline, SerialOnlyItemsSerializeAcrossGroups) {
   const auto s = schedule_pipeline(items, 3);
   EXPECT_DOUBLE_EQ(s.makespan, 9.0);
   EXPECT_EQ(s.item_finish, (std::vector<double>{2, 5, 9}));
-}
-
-// --- CompletionChannel -----------------------------------------------------
-
-TEST(CompletionChannel, PopsInCompletionOrderThenTerminates) {
-  CompletionChannel ch(3);
-  ch.push(2);
-  ch.push(0);
-  ch.push(1);
-  std::size_t idx = 99;
-  ASSERT_TRUE(ch.try_pop(idx));
-  EXPECT_EQ(idx, 2u);
-  ASSERT_TRUE(ch.try_pop(idx));
-  EXPECT_EQ(idx, 0u);
-  ASSERT_TRUE(ch.try_pop(idx));
-  EXPECT_EQ(idx, 1u);
-  EXPECT_FALSE(ch.try_pop(idx));
-  EXPECT_FALSE(ch.try_pop(idx));  // stays drained
-  EXPECT_EQ(idx, 1u);             // and leaves the output untouched
-}
-
-TEST(CompletionChannel, DrainsEveryIndexAcrossProducerThreads) {
-  constexpr std::size_t kItems = 512;
-  constexpr std::size_t kProducers = 4;
-  CompletionChannel ch(kItems);
-  std::vector<std::thread> producers;
-  for (std::size_t p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&ch, p] {
-      for (std::size_t i = p; i < kItems; i += kProducers) ch.push(i);
-    });
-  }
-  // The consumer polls, as the streamed Tier-2 stitch does.
-  std::set<std::size_t> seen;
-  std::size_t idx;
-  for (std::size_t popped = 0; popped < kItems;) {
-    if (ch.try_pop(idx)) {
-      EXPECT_TRUE(seen.insert(idx).second) << "duplicate " << idx;
-      ++popped;
-    } else {
-      std::this_thread::yield();
-    }
-  }
-  for (auto& t : producers) t.join();
-  EXPECT_FALSE(ch.try_pop(idx));
-  EXPECT_EQ(seen.size(), kItems);
-  EXPECT_EQ(*seen.begin(), 0u);
-  EXPECT_EQ(*seen.rbegin(), kItems - 1);
 }
 
 }  // namespace

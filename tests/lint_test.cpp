@@ -237,13 +237,13 @@ TEST(LintRegions, StdFunctionTypeIsNotARegion) {
 
 TEST(LintRegions, ServicePpeCodeIsNotAnSpeRegion) {
   // Encode-service PPE-side code (src/service, DESIGN.md §12) schedules
-  // host threads and pool leases — std::thread / std::mutex / std::vector
+  // host work over the SPE pool — std::thread / std::mutex / std::vector
   // are its bread and butter and must not trip the SPE-region rules, which
   // key on kernel signatures (SpeContext& / Simd& / DmaEngine&), not on
-  // directory.  This fixture pins that a lease-taking service function is
+  // directory.  This fixture pins that a pool-taking service function is
   // not a region.
   const std::string src =
-      "void run_jobs(service::SpePoolLease& lease,\n"
+      "void run_jobs(service::SpePool& pool,\n"
       "              std::vector<service::EncodeJob>& jobs) {\n"
       "  std::mutex mu;\n"
       "  std::vector<std::thread> workers;\n"

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <numeric>
 #include <string>
 #include <tuple>
 
@@ -194,89 +193,16 @@ TEST(IncrementalScan, SetBudgetRetriesTheBlockingSegment) {
   EXPECT_DOUBLE_EQ(scan.lambda(), 6.0);
 }
 
-// --- T2StitchStream: any completion order, identical bytes ----------------
-
-TEST(T2StitchStream, AnyOfferOrderMatchesSerialStitch) {
-  const Image img = synth::photographic(160, 128, 3, 75);
-  for (auto prog : {jp2k::Progression::kLRCP, jp2k::Progression::kRLCP}) {
-    jp2k::CodingParams p;
-    p.wavelet = jp2k::WaveletKind::kIrreversible97;
-    p.layers = 3;
-    p.progression = prog;
-    p.rate = 0.2;
-    jp2k::Tile tile = jp2k::build_tile(img, p);
-    jp2k::rate_control_layered(tile, jp2k::plan_layer_budgets(tile, img, p),
-                               p.wavelet);
-
-    const auto parts = jp2k::t2_encode_precincts(tile);
-    const auto reference = jp2k::t2_stitch(tile, parts);
-
-    std::vector<std::size_t> order(parts.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    Rng rng(76);
-    for (int perm = 0; perm < 4; ++perm) {
-      if (perm == 1) std::reverse(order.begin(), order.end());
-      if (perm >= 2) {
-        for (std::size_t i = order.size(); i > 1; --i) {
-          std::swap(order[i - 1],
-                    order[static_cast<std::size_t>(rng.next_below(i))]);
-        }
-      }
-      jp2k::T2StitchStream stream(tile);
-      ASSERT_EQ(stream.num_parts(), parts.size());
-      std::size_t appended = 0;
-      for (std::size_t k = 0; k < order.size(); ++k) {
-        EXPECT_EQ(stream.complete(), false);
-        appended += stream.offer(order[k], parts[order[k]]);
-      }
-      EXPECT_TRUE(stream.complete());
-      EXPECT_EQ(appended, reference.size());
-      EXPECT_EQ(stream.take(), reference)
-          << "perm=" << perm << " prog=" << static_cast<int>(prog);
-    }
-  }
-}
-
-TEST(T2StitchStream, StreamedEncodeMatchesSerialEncode) {
-  const Image img = synth::photographic(128, 96, 3, 77);
-  for (int layers : {1, 3}) {
-    jp2k::CodingParams p;
-    p.wavelet = jp2k::WaveletKind::kIrreversible97;
-    p.layers = layers;
-    p.rate = 0.25;
-    jp2k::Tile tile = jp2k::build_tile(img, p);
-    const auto budgets = jp2k::plan_layer_budgets(tile, img, p);
-    if (layers > 1) {
-      jp2k::rate_control_layered(tile, budgets, p.wavelet);
-    } else {
-      jp2k::rate_control(tile, budgets.back(), p.wavelet);
-    }
-
-    const auto serial = jp2k::t2_encode(tile);
-    std::vector<jp2k::T2PrecinctStream> parts;
-    const auto streamed = jp2k::t2_encode_streamed(tile, &parts);
-    EXPECT_EQ(streamed, serial) << layers;
-
-    // The captured parts are the canonical precinct decomposition.
-    const auto reference_parts = jp2k::t2_encode_precincts(tile);
-    ASSERT_EQ(parts.size(), reference_parts.size());
-    for (std::size_t i = 0; i < parts.size(); ++i) {
-      EXPECT_EQ(parts[i].component, reference_parts[i].component);
-      EXPECT_EQ(parts[i].resolution, reference_parts[i].resolution);
-      EXPECT_EQ(parts[i].layer_bytes, reference_parts[i].layer_bytes);
-    }
-  }
-}
-
 // --- Pipeline: byte identity across the lossy feature matrix --------------
 
 using LossyCase = std::tuple<bool /*fixed*/, int /*layers*/,
-                             jp2k::Progression>;
+                             jp2k::Progression, double /*rate*/,
+                             int /*tiles per side*/>;
 
 class LossyTailMatrix : public ::testing::TestWithParam<LossyCase> {};
 
 TEST_P(LossyTailMatrix, ParallelTailIsByteIdenticalToSerialEncoder) {
-  const auto [fixed, layers, prog] = GetParam();
+  const auto [fixed, layers, prog, rate, tiles] = GetParam();
   const Image img = synth::photographic(96, 80, 3, 12345);
 
   jp2k::CodingParams p;
@@ -285,7 +211,9 @@ TEST_P(LossyTailMatrix, ParallelTailIsByteIdenticalToSerialEncoder) {
   p.levels = 3;
   p.layers = layers;
   p.progression = prog;
-  p.rate = 0.25;
+  p.rate = rate;
+  p.tiles_x = tiles;
+  p.tiles_y = tiles;
 
   const auto serial = jp2k::encode(img, p);
   for (int spes : {1, 8, 16}) {
@@ -299,7 +227,25 @@ INSTANTIATE_TEST_SUITE_P(
     AllLossyCombinations, LossyTailMatrix,
     ::testing::Combine(::testing::Bool(), ::testing::Values(1, 3),
                        ::testing::Values(jp2k::Progression::kLRCP,
-                                         jp2k::Progression::kRLCP)));
+                                         jp2k::Progression::kRLCP),
+                       ::testing::Values(0.25), ::testing::Values(1)));
+
+INSTANTIATE_TEST_SUITE_P(
+    TiledLossyCombinations, LossyTailMatrix,
+    ::testing::Combine(::testing::Bool(), ::testing::Values(1, 3),
+                       ::testing::Values(jp2k::Progression::kLRCP,
+                                         jp2k::Progression::kRLCP),
+                       ::testing::Values(0.25), ::testing::Values(2)));
+
+// Rate 0 is a pure layer ladder, whose final Tier-2 recodes the precincts
+// rather than reusing the last sizing pass.  On one layer it runs no PCRD
+// tail, so only the 3-layer rows exist.
+INSTANTIATE_TEST_SUITE_P(
+    RateZeroLadder, LossyTailMatrix,
+    ::testing::Combine(::testing::Bool(), ::testing::Values(3),
+                       ::testing::Values(jp2k::Progression::kLRCP,
+                                         jp2k::Progression::kRLCP),
+                       ::testing::Values(0.0), ::testing::Values(1, 2)));
 
 // --- Hull overlap: construction rides the T1 span -------------------------
 

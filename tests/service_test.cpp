@@ -1,21 +1,18 @@
-// Encode-service tests (DESIGN.md §12): the admission queue, the SPE pool
-// carving, the lease/steal schedule semantics per policy, the
+// Encode-service tests (DESIGN.md §12): the SPE pool carving, the
+// lease/steal schedule semantics per policy, the
 // PipelineResult::tile_items plumbing the scheduler consumes, and the
 // end-to-end contract — every job's codestream byte-identical to its
 // standalone encode, with strict-audit provenance naming the job.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/sha256.hpp"
 #include "image/synth.hpp"
 #include "service/encode_service.hpp"
-#include "service/job_queue.hpp"
 #include "service/schedule.hpp"
 #include "service/spe_pool.hpp"
 
@@ -28,38 +25,6 @@ cell::MachineConfig config(int spes, int ppes = 2, int chips = 2) {
   cfg.num_ppe_threads = ppes;
   cfg.chips = chips;
   return cfg;
-}
-
-// ---------------------------------------------------------------- JobQueue
-
-TEST(JobQueue, FifoOrderAndDrainAfterClose) {
-  JobQueue q;
-  q.push(3);
-  q.push(1);
-  q.push(2);
-  q.close();
-  EXPECT_TRUE(q.closed());
-  std::size_t id = 0;
-  ASSERT_TRUE(q.pop(id));
-  EXPECT_EQ(id, 3u);
-  ASSERT_TRUE(q.pop(id));
-  EXPECT_EQ(id, 1u);
-  ASSERT_TRUE(q.pop(id));
-  EXPECT_EQ(id, 2u);
-  EXPECT_FALSE(q.pop(id));  // Closed and drained.
-}
-
-TEST(JobQueue, PopBlocksUntilPushThenDrains) {
-  JobQueue q;
-  std::atomic<int> got{-1};
-  std::thread consumer([&] {
-    std::size_t id = 0;
-    while (q.pop(id)) got = static_cast<int>(id);
-  });
-  q.push(7);
-  q.close();
-  consumer.join();
-  EXPECT_EQ(got.load(), 7);
 }
 
 // ----------------------------------------------------------------- SpePool
@@ -94,35 +59,6 @@ TEST(SpePool, LeaseConfigIsAProportionalShare) {
   EXPECT_EQ(both.num_ppe_threads, 2);
   // The full-width lease carries the whole blade's bandwidth.
   EXPECT_DOUBLE_EQ(both.cost.chip_mem_bw, pc.cost.chip_mem_bw * 2.0);
-}
-
-TEST(SpePool, AcquireTakesLowestFreeIdsFirst) {
-  SpePool pool(config(32), 8);  // 4 groups.
-  const auto a = pool.acquire(1);
-  const auto b = pool.acquire(2);
-  ASSERT_EQ(a, std::vector<std::size_t>{0});
-  ASSERT_EQ(b, (std::vector<std::size_t>{1, 2}));
-  pool.release(a);
-  const auto c = pool.acquire(2);  // Reuses 0, then 3.
-  EXPECT_EQ(c, (std::vector<std::size_t>{0, 3}));
-  pool.release(b);
-  pool.release(c);
-  EXPECT_EQ(pool.free_groups(), 4u);
-}
-
-TEST(SpePool, LeaseBlocksUntilAGroupIsReleased) {
-  SpePool pool(config(16), 8);
-  std::atomic<bool> acquired{false};
-  auto first = std::make_unique<SpePoolLease>(pool, 2);  // Whole pool.
-  std::thread waiter([&] {
-    SpePoolLease lease(pool, 1);
-    acquired = true;
-  });
-  EXPECT_FALSE(acquired.load());
-  first.reset();  // Releases both groups; the waiter proceeds.
-  waiter.join();
-  EXPECT_TRUE(acquired.load());
-  EXPECT_EQ(pool.free_groups(), 2u);
 }
 
 // ------------------------------------------------------------------ Policy
@@ -418,6 +354,43 @@ TEST(EncodeServiceTest, JobsAreByteIdenticalToStandaloneEncodes) {
   EXPECT_TRUE(res.metrics.has("service.pool_occupancy"));
   EXPECT_EQ(res.groups, 2u);
   EXPECT_EQ(res.group_spes, 8);
+}
+
+TEST(EncodeServiceTest, HostThreadsAreCappedAtTheGroupCount) {
+  // Six requested host threads on a two-group pool: at most two encodes
+  // run at once, and every job still comes back once, byte-identical.
+  const cell::MachineConfig pool_cfg = config(16, 2, 2);
+  const auto img =
+      std::make_shared<const Image>(synth::photographic(96, 80, 3, 46));
+  const auto params = mixed_params();  // Includes a lossy and a tiled job.
+
+  ServiceOptions sopt;
+  sopt.machine = pool_cfg;
+  sopt.host_threads = 6;
+  EncodeService svc(sopt);
+  const std::size_t n = 8;
+  for (std::size_t i = 0; i < n; ++i) {
+    EncodeJob job;
+    job.image = img;
+    job.params = params[i % params.size()];
+    job.arrival_seconds = 0.0005 * static_cast<double>(i);
+    svc.submit(std::move(job));
+  }
+  const ServiceResult res = svc.run();
+
+  ASSERT_EQ(res.groups, 2u);
+  ASSERT_EQ(res.jobs.size(), n);
+  for (std::size_t id = 0; id < n; ++id) {
+    const JobResult& jr = res.jobs[id];
+    EXPECT_EQ(jr.id, id);
+    EXPECT_EQ(jr.status, JobStatus::kOk) << jr.name << ": " << jr.error;
+    cellenc::CellEncoder solo(pool_cfg);
+    const auto alone = solo.encode(*img, params[id % params.size()]);
+    EXPECT_EQ(common::sha256_hex(jr.pipeline.codestream),
+              common::sha256_hex(alone.codestream))
+        << jr.name;
+  }
+  EXPECT_EQ(res.summary.jobs, n);
 }
 
 TEST(EncodeServiceTest, FailingJobDoesNotAbortBatch) {
